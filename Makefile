@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check ci cover fmt fmt-check lint vet build test test-short test-race test-race-short alloc-guard fuzz-short e2e-dispatch loadgen-smoke bench bench-json bench-eval bench-dispatch bench-wire bench-serve serve
+.PHONY: check ci cover fmt fmt-check lint vet build test test-short test-race test-race-short alloc-guard fuzz-short e2e-dispatch loadgen-smoke bench-module-test loc bench bench-json bench-eval bench-dispatch bench-wire bench-serve serve
 
 check: fmt-check vet lint build test-short
 
@@ -9,9 +9,9 @@ check: fmt-check vet lint build test-short
 # the short suite, the short suite under the race detector, the
 # allocation guards (the zero-alloc train/eval steps plus the
 # whole-run allocation budget), the wire-codec fuzz smoke, the
-# dispatch e2e suite under -race, and the coverage report with its
-# floor.
-ci: fmt-check vet lint test-short test-race-short alloc-guard fuzz-short e2e-dispatch loadgen-smoke cover
+# dispatch e2e suite under -race, the benchmark module's own vet and
+# unit tests, and the coverage report with its floor.
+ci: fmt-check vet lint test-short test-race-short alloc-guard fuzz-short e2e-dispatch loadgen-smoke bench-module-test cover
 
 # lint runs hadfl-lint, the repo's own analyzer suite (internal/lint):
 # detmap, walltime, poolleaf, metriccatalog, ctxbg — the determinism,
@@ -69,6 +69,22 @@ loadgen-smoke:
 	$(GO) run ./cmd/hadfl-loadgen -duration 2s -concurrency 16 -corpus 8 \
 		-run-cost 500us -curve-points 8 -fail-on-errors -out /dev/null
 
+# bench-module-test gates the nested benchmark module (benchmark/ has
+# its own go.mod, so the root ./... never reaches it): vet plus its
+# unit tests. -short skips its smoke run of all four workloads; that
+# is `go test -C benchmark ./...`.
+bench-module-test:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark -short ./...
+
+# loc prints non-test Go lines per package (ROADMAP aim 2: net LOC per
+# package is a tracked quantity); paste before/after in a PR that
+# claims to simplify.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+		printf '%6d  %s\n' $$(cat $$(ls $$dir/*.go | grep -v _test.go) | wc -l) $$pkg; \
+	done | awk '{print; t += $$1} END {printf "%6d  total\n", t}'
+
 fmt: fmt-check
 
 # -s also demands the simplified forms (x[a:len(x)] → x[a:], redundant
@@ -92,17 +108,19 @@ test:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# test-race runs the fixed-seed parallel-determinism contract (and the
-# kernel bit-determinism tests) under the race detector.
+# test-race runs the fixed-seed parallel-determinism contract, the
+# golden runs (and the kernel bit-determinism tests) under the race
+# detector.
 test-race:
-	$(GO) test -race -run 'TestParallelDeterminism' .
+	$(GO) test -race -run 'TestParallelDeterminism|TestGoldenRuns' .
 	$(GO) test -race ./internal/tensor ./internal/core ./internal/baselines
 
 # test-race-short is the race-detector slice of make ci: the
-# determinism contract plus the concurrency-heavy packages, with slow
-# tests skipped.
+# determinism contract, the golden runs at Parallelism 4 (every
+# scheme's concurrent join in core.Loop.Train) plus the
+# concurrency-heavy packages, with slow tests skipped.
 test-race-short:
-	$(GO) test -race -short -run 'TestParallelDeterminism|TestRunContext|TestCompareContext' .
+	$(GO) test -race -short -run 'TestParallelDeterminism|TestGoldenRuns|TestRunContext|TestCompareContext' .
 	$(GO) test -race -short ./internal/tensor ./internal/core ./internal/baselines ./internal/serve
 
 # bench-json snapshots the compute-core benchmarks (tensor kernels, nn

@@ -148,6 +148,34 @@ func (o Options) workload() (experiments.Workload, error) {
 	return w, nil
 }
 
+// cluster fills the defaults and builds the federation these options
+// describe, returning it with the workload it came from. It is the one
+// place the façade spells out a core.ClusterSpec, so a run, an
+// EvaluateParams of its model and the InitialParams a wire codec
+// derives all see the same architecture, data and seed.
+func (o *Options) cluster() (*core.Cluster, experiments.Workload, error) {
+	o.fill()
+	w, err := o.workload()
+	if err != nil {
+		return nil, w, err
+	}
+	c, err := core.BuildCluster(core.ClusterSpec{
+		Powers:       o.Powers,
+		BaseStepTime: w.BaseStepTime,
+		Arch:         w.Arch,
+		Train:        w.Train,
+		Test:         w.Test,
+		NonIIDAlpha:  o.NonIIDAlpha,
+		BatchSize:    w.BatchSize,
+		LR:           w.LR,
+		Momentum:     w.Momentum,
+		WeightDecay:  w.WeightDecay,
+		FailAt:       o.FailAt,
+		Seed:         o.Seed,
+	})
+	return c, w, err
+}
+
 // Result summarizes one training run.
 type Result struct {
 	// Scheme that produced this result.
@@ -197,21 +225,7 @@ func summarize(scheme string, res *core.Result) *Result {
 // (same Model, Full flag and Seed, so architecture and test split
 // agree).
 func EvaluateParams(opts Options, params []float64) (loss, acc float64, err error) {
-	opts.fill()
-	w, err := opts.workload()
-	if err != nil {
-		return 0, 0, err
-	}
-	cluster, err := core.BuildCluster(core.ClusterSpec{
-		Powers:       opts.Powers,
-		BaseStepTime: w.BaseStepTime,
-		Arch:         w.Arch,
-		Train:        w.Train,
-		Test:         w.Test,
-		BatchSize:    w.BatchSize,
-		LR:           w.LR,
-		Seed:         opts.Seed,
-	})
+	cluster, _, err := opts.cluster()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -226,21 +240,7 @@ func EvaluateParams(opts Options, params []float64) (loss, acc float64, err erro
 // topk) encode a trained model against it without shipping the
 // reference itself.
 func InitialParams(opts Options) ([]float64, error) {
-	opts.fill()
-	w, err := opts.workload()
-	if err != nil {
-		return nil, err
-	}
-	cluster, err := core.BuildCluster(core.ClusterSpec{
-		Powers:       opts.Powers,
-		BaseStepTime: w.BaseStepTime,
-		Arch:         w.Arch,
-		Train:        w.Train,
-		Test:         w.Test,
-		BatchSize:    w.BatchSize,
-		LR:           w.LR,
-		Seed:         opts.Seed,
-	})
+	cluster, _, err := opts.cluster()
 	if err != nil {
 		return nil, err
 	}
@@ -269,25 +269,7 @@ func RunContext(ctx context.Context, scheme string, opts Options) (*Result, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err // fail fast before paying cluster construction
 	}
-	opts.fill()
-	w, err := opts.workload()
-	if err != nil {
-		return nil, err
-	}
-	cluster, err := core.BuildCluster(core.ClusterSpec{
-		Powers:       opts.Powers,
-		BaseStepTime: w.BaseStepTime,
-		Arch:         w.Arch,
-		Train:        w.Train,
-		Test:         w.Test,
-		NonIIDAlpha:  opts.NonIIDAlpha,
-		BatchSize:    w.BatchSize,
-		LR:           w.LR,
-		Momentum:     w.Momentum,
-		WeightDecay:  w.WeightDecay,
-		FailAt:       opts.FailAt,
-		Seed:         opts.Seed,
-	})
+	cluster, w, err := opts.cluster()
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@ import (
 
 	"hadfl/internal/aggregate"
 	"hadfl/internal/core"
-	"hadfl/internal/metrics"
+	"hadfl/internal/device"
 	"hadfl/internal/p2p"
 	"hadfl/internal/simclock"
 )
@@ -55,9 +55,11 @@ func DefaultAsyncFLConfig() AsyncFLConfig {
 // by the discrete-event engine: each device trains E steps, pushes its
 // model to the server (paying upload time), receives the merged global
 // (download time), and immediately starts the next cycle — no barriers,
-// so fast devices update the server more often. A canceled ctx stops
-// scheduling new work within one device step; the engine then drains
-// and the run returns ctx.Err().
+// so fast devices update the server more often. There are no rounds to
+// loop over, so it uses core.Loop for the shared state, the budget test
+// and the curve only; a "round" is one server update. A canceled ctx
+// stops scheduling new work within one device step; the engine then
+// drains and Result returns the error.
 func RunAsyncFL(ctx context.Context, c *core.Cluster, cfg AsyncFLConfig) (*core.Result, error) {
 	if cfg.LocalSteps <= 0 {
 		return nil, fmt.Errorf("baselines: LocalSteps %d", cfg.LocalSteps)
@@ -72,112 +74,67 @@ func RunAsyncFL(ctx context.Context, c *core.Cluster, cfg AsyncFLConfig) (*core.
 		return nil, fmt.Errorf("baselines: EvalEvery %d", cfg.EvalEvery)
 	}
 	engine := simclock.New()
-	series := &metrics.Series{Name: "async-fedavg"}
-	comm := core.NewCommStats()
-
-	global := append([]float64(nil), c.InitParams...)
-	globalVersion := 0
-	paramBytes := 8 * len(global)
+	l := core.NewLoop(ctx, c, "async-fedavg", cfg.RunConfig, cfg.Link)
+	l.Start()
+	paramBytes := 8 * len(l.Global)
 	transfer := cfg.Link.TransferTime(paramBytes)
-	totalSteps := 0
-	serverUpdates := 0
 
-	for _, d := range c.Devices {
-		d.SetParameters(c.InitParams)
-	}
-	loss0, acc0 := c.Evaluate(global)
-	series.Add(metrics.Point{Epoch: 0, Time: 0, Loss: loss0, Accuracy: acc0})
-
-	// pulledAt tracks the global version each device last saw.
+	// pulledAt tracks the global version (= server updates so far) each
+	// device last saw.
 	pulledAt := make([]int, len(c.Devices))
 	// devBuf is the reused per-device parameter gather buffer for the
 	// server merge (events are serialized by the discrete-event engine,
 	// so one buffer suffices).
-	devBuf := make([]float64, len(global))
+	devBuf := make([]float64, len(l.Global))
 
-	done := func() bool {
-		return ctx.Err() != nil ||
-			c.EpochsProcessed(totalSteps) >= cfg.TargetEpochs ||
-			serverUpdates >= cfg.MaxUpdates
-	}
-
-	var cycle func(devIdx int)
-	cycle = func(devIdx int) {
-		d := c.Devices[devIdx]
-		meanLoss, elapsed := trainStepsCtx(ctx, d, cfg.LocalSteps)
-		if ctx.Err() != nil {
+	var cycle func(d *device.Device)
+	cycle = func(d *device.Device) {
+		p := d.TrainN(ctx, cfg.LocalSteps)
+		if l.Err() != nil {
 			return // canceled mid-training: abandon the push
 		}
-		totalSteps += cfg.LocalSteps
+		l.Steps += p.Steps
 		// Train, then upload: the merge lands after compute + transfer.
-		engine.Schedule(simclock.Time(elapsed+transfer), func() {
-			if ctx.Err() != nil {
+		engine.Schedule(simclock.Time(p.Elapsed+transfer), func() {
+			if l.Err() != nil {
 				return
 			}
-			staleness := globalVersion - pulledAt[devIdx]
-			if staleness < 0 {
-				staleness = 0
-			}
+			staleness := max(l.Rounds-pulledAt[d.Cfg.ID], 0)
 			beta := cfg.BaseMix * math.Pow(float64(staleness+1), -cfg.StalenessPower)
-			dev := d.ParametersInto(devBuf)
-			// MergeInto computes beta·dev + (1−beta)·global — the same
-			// bits as the previous inline loop (addition commutes).
-			aggregate.MergeInto(global, global, dev, beta)
-			globalVersion++
-			serverUpdates++
+			// MergeInto computes beta·dev + (1−beta)·global.
+			aggregate.MergeInto(l.Global, l.Global, d.ParametersInto(devBuf), beta)
+			l.Rounds++
 			// Up + down through the server.
-			comm.DeviceBytes[d.Cfg.ID] += int64(paramBytes)
-			comm.ServerBytes += int64(2 * paramBytes)
-			comm.Rounds = serverUpdates
+			l.Comm.DeviceBytes[d.Cfg.ID] += int64(paramBytes)
+			l.Comm.ServerBytes += int64(2 * paramBytes)
+			l.Comm.Rounds = l.Rounds
 
-			if serverUpdates%cfg.EvalEvery == 0 {
-				_, acc := c.Evaluate(global)
-				p := metrics.Point{
-					Epoch:    c.EpochsProcessed(totalSteps),
-					Time:     float64(engine.Now()),
-					Loss:     meanLoss,
-					Accuracy: acc,
-				}
-				series.Add(p)
-				if cfg.OnRound != nil {
-					cfg.OnRound(core.RoundInfo{
-						Round: serverUpdates, Time: p.Time, Loss: p.Loss, Accuracy: p.Accuracy,
-					})
-				}
+			l.Now = float64(engine.Now())
+			if l.Rounds%cfg.EvalEvery == 0 {
+				l.Record(p.MeanLoss(), core.RoundInfo{})
 			}
-			if done() {
+			if !l.Next(cfg.MaxUpdates) {
 				return
 			}
 			// Download the merged model and start the next cycle.
 			engine.Schedule(simclock.Time(transfer), func() {
-				if done() {
+				if !l.Next(cfg.MaxUpdates) {
 					return
 				}
-				d.SetParameters(global)
-				pulledAt[devIdx] = globalVersion
-				cycle(devIdx)
+				d.SetParameters(l.Global)
+				pulledAt[d.Cfg.ID] = l.Rounds
+				cycle(d)
 			})
 		})
 	}
-	for i := range c.Devices {
-		if ctx.Err() != nil {
+	for _, d := range c.Devices {
+		if l.Err() != nil {
 			break
 		}
-		cycle(i)
+		cycle(d)
 	}
 	engine.Run(0)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	_, acc := c.Evaluate(global)
-	lastLossV := loss0
-	if l, ok := series.FinalLoss(); ok {
-		lastLossV = l
-	}
-	series.Add(metrics.Point{
-		Epoch: c.EpochsProcessed(totalSteps), Time: float64(engine.Now()),
-		Loss: lastLossV, Accuracy: acc,
-	})
-	return &core.Result{Series: series, Comm: comm, Rounds: serverUpdates, FinalParams: global}, nil
+	l.Now = float64(engine.Now())
+	l.RecordFinal()
+	return l.Result()
 }

@@ -12,22 +12,19 @@
 //     staleness-weighted aggregation — no barrier, but the server stays
 //     in the data path.
 //
-// All run on the same Cluster, cost model and metrics as HADFL, so
-// curves are directly comparable. Every runner takes a context and
-// checks it at round and device-step boundaries: cancellation stops the
-// run within one device step and returns ctx.Err(). The checks never
-// change the computation of an uncancelled run.
+// All run on the same Cluster and the same core.Loop as HADFL — one
+// virtual clock, one byte accounting, one evaluation cadence, one
+// cancellation and determinism contract — so curves are directly
+// comparable; each runner below is only its scheme's policy.
 package baselines
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"hadfl/internal/aggregate"
 	"hadfl/internal/core"
 	"hadfl/internal/device"
-	"hadfl/internal/metrics"
 	"hadfl/internal/nn"
 	"hadfl/internal/p2p"
 	"hadfl/internal/tensor"
@@ -57,90 +54,50 @@ func DefaultDistributedConfig() DistributedConfig {
 	}
 }
 
-// RunDistributed executes synchronous data-parallel SGD on the cluster.
+// RunDistributed executes synchronous data-parallel SGD on the cluster:
+// every iteration each device computes one gradient, the gradients are
+// ring-all-reduced, and every replica applies the same averaged update.
 func RunDistributed(ctx context.Context, c *core.Cluster, cfg DistributedConfig) (*core.Result, error) {
 	if cfg.EvalEvery <= 0 {
 		return nil, fmt.Errorf("baselines: EvalEvery %d", cfg.EvalEvery)
 	}
-	series := &metrics.Series{Name: "distributed"}
-	comm := core.NewCommStats()
-	commModel := p2p.CommModel{Link: cfg.Link}
-	k := len(c.Devices)
-	paramBytes := 8 * len(c.InitParams)
+	l := core.NewLoop(ctx, c, "distributed", cfg.RunConfig, cfg.Link)
+	l.Start()
 
-	// All replicas start from the shared initial model.
-	for _, d := range c.Devices {
-		d.SetParameters(c.InitParams)
-	}
-	global := append([]float64(nil), c.InitParams...)
-	now := 0.0
-	totalSteps := 0
-	loss0, acc0 := c.Evaluate(global)
-	series.Add(metrics.Point{Epoch: 0, Time: 0, Loss: loss0, Accuracy: acc0})
-
-	par := core.ResolveParallelism(cfg.Parallelism)
 	// Per-device gradient gather buffers and the averaged-update buffer
 	// are allocated once and reused every iteration.
+	k := len(c.Devices)
 	grads := make([][]float64, k)
 	for i := range grads {
 		grads[i] = make([]float64, len(c.InitParams))
 	}
 	avg := make([]float64, len(c.InitParams))
 	lossGrads := make([]*tensor.Tensor, k) // reused ∂L/∂logits buffers
-	losses := make([]float64, k)
-	stepTimes := make([]float64, k)
-	iter := 0
-	for ; iter < cfg.MaxIters && c.EpochsProcessed(totalSteps) < cfg.TargetEpochs; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	gradOne := func(d *device.Device) (p device.Partial) {
+		if ctx.Err() != nil {
+			return p // canceled: Train abandons the partials
 		}
-		// Each device computes one gradient on its local batch,
-		// concurrently up to par (devices touch only their own model,
-		// loader and RNG). The barrier makes the iteration as slow as
-		// the slowest device; partials join in device order so curves
-		// are byte-identical at every parallelism.
-		gradOne := func(i int) {
-			if ctx.Err() != nil {
-				return // canceled: the partials are abandoned below
-			}
-			d := c.Devices[i]
-			x, y := d.Loader.Next()
-			d.Model.ZeroGrads()
-			logits := d.Model.Forward(x, true)
-			lossGrads[i] = tensor.Ensure(lossGrads[i], logits.Dim(0), logits.Dim(1))
-			losses[i] = nn.SoftmaxCrossEntropyInto(lossGrads[i], logits, y)
-			d.Model.Backward(lossGrads[i])
-			d.Model.GradientVectorInto(grads[i])
-			stepTimes[i] = d.StepTime()
+		i := d.Cfg.ID
+		x, y := d.Loader.Next()
+		d.Model.ZeroGrads()
+		logits := d.Model.Forward(x, true)
+		lossGrads[i] = tensor.Ensure(lossGrads[i], logits.Dim(0), logits.Dim(1))
+		p.LossSum = nn.SoftmaxCrossEntropyInto(lossGrads[i], logits, y)
+		d.Model.Backward(lossGrads[i])
+		d.Model.GradientVectorInto(grads[i])
+		p.Steps, p.Elapsed = 1, d.StepTime()
+		return p
+	}
+	for l.Next(cfg.MaxIters) {
+		parts, ok := l.Train(l.All, gradOne)
+		if !ok {
+			break
 		}
-		if par > 1 && k > 1 {
-			core.RunConcurrent(k, par, gradOne)
-		} else {
-			for i := range c.Devices {
-				gradOne(i)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		slowest := 0.0
-		lossSum := 0.0
-		for i := range c.Devices {
-			lossSum += losses[i]
-			if stepTimes[i] > slowest {
-				slowest = stepTimes[i]
-			}
-			totalSteps++
-		}
-		// Ring all-reduce of gradients across all K devices.
+		loss, slowest := barrier(parts)
+		// Ring all-reduce of gradients across all K devices; the barrier
+		// and the ring are one charge to the clock (pinned float order).
 		aggregate.MeanInto(avg, grads)
-		now += slowest + commModel.RingAllReduceTime(k, paramBytes)
-		if k > 1 {
-			per := int64(2 * paramBytes * (k - 1) / k)
-			for _, d := range c.Devices {
-				comm.DeviceBytes[d.Cfg.ID] += per
-			}
-		}
+		l.Now += slowest + l.ChargeRing(l.All)
 		// Identical update on every replica keeps them bit-equal; apply
 		// through each device's optimizer (same hyper-parameters).
 		for _, d := range c.Devices {
@@ -148,27 +105,27 @@ func RunDistributed(ctx context.Context, c *core.Cluster, cfg DistributedConfig)
 			d.Opt.Step(d.Model)
 			d.Version++
 		}
-		comm.Rounds++
-
-		if (iter+1)%cfg.EvalEvery == 0 {
-			c.Devices[0].ParametersInto(global)
-			_, acc := c.Evaluate(global)
-			p := metrics.Point{
-				Epoch: c.EpochsProcessed(totalSteps), Time: now,
-				Loss: lossSum / float64(k), Accuracy: acc,
-			}
-			series.Add(p)
-			if cfg.OnRound != nil {
-				cfg.OnRound(core.RoundInfo{
-					Round: iter + 1, Time: p.Time, Loss: p.Loss, Accuracy: p.Accuracy,
-				})
-			}
+		l.Comm.Rounds++
+		l.Rounds++
+		if l.Rounds%cfg.EvalEvery == 0 {
+			c.Devices[0].ParametersInto(l.Global)
+			l.Record(loss, core.RoundInfo{})
 		}
 	}
-	c.Devices[0].ParametersInto(global)
-	_, acc := c.Evaluate(global)
-	series.Add(metrics.Point{Epoch: c.EpochsProcessed(totalSteps), Time: now, Loss: lastLoss(series), Accuracy: acc})
-	return &core.Result{Series: series, Comm: comm, Rounds: iter, FinalParams: global}, nil
+	c.Devices[0].ParametersInto(l.Global)
+	l.RecordFinal()
+	return l.Result()
+}
+
+// barrier is the synchronous schemes' join: the mean of the devices'
+// mean losses, and the slowest device's compute time, which gates
+// everyone.
+func barrier(parts []device.Partial) (loss, slowest float64) {
+	for _, p := range parts {
+		loss += p.MeanLoss()
+		slowest = max(slowest, p.Elapsed)
+	}
+	return loss / float64(len(parts)), slowest
 }
 
 // FedAvgConfig tunes the Decentralized-FedAvg baseline. The shared run
@@ -191,123 +148,28 @@ func DefaultFedAvgConfig() FedAvgConfig {
 }
 
 // RunFedAvg executes Decentralized-FedAvg: E local steps everywhere,
-// then a synchronous full-population gossip average.
+// then a synchronous full-population gossip average (a ring all-reduce
+// over K) that waits for the slowest device.
 func RunFedAvg(ctx context.Context, c *core.Cluster, cfg FedAvgConfig) (*core.Result, error) {
 	if cfg.LocalSteps <= 0 {
 		return nil, fmt.Errorf("baselines: LocalSteps %d", cfg.LocalSteps)
 	}
-	series := &metrics.Series{Name: "decentralized-fedavg"}
-	comm := core.NewCommStats()
-	commModel := p2p.CommModel{Link: cfg.Link}
-	k := len(c.Devices)
-	paramBytes := 8 * len(c.InitParams)
-	_ = rand.New(rand.NewSource(cfg.Seed))
-
-	for _, d := range c.Devices {
-		d.SetParameters(c.InitParams)
-	}
-	global := append([]float64(nil), c.InitParams...)
-	now := 0.0
-	totalSteps := 0
-	loss0, acc0 := c.Evaluate(global)
-	series.Add(metrics.Point{Epoch: 0, Time: 0, Loss: loss0, Accuracy: acc0})
-
-	par := core.ResolveParallelism(cfg.Parallelism)
-	losses := make([]float64, k)
-	elapsedTimes := make([]float64, k)
-	// Per-device gather buffers for the round-end gossip average,
-	// allocated once and refilled in place every round.
-	vecs := make([][]float64, k)
-	for i := range vecs {
-		vecs[i] = make([]float64, len(c.InitParams))
-	}
-	round := 0
-	for ; round < cfg.MaxRounds && c.EpochsProcessed(totalSteps) < cfg.TargetEpochs; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// E local steps on every device, concurrently up to par; the
-		// synchronous barrier waits for the slowest. Partials join in
-		// device order, keeping curves byte-identical at every
-		// parallelism.
-		trainOne := func(i int) {
-			losses[i], elapsedTimes[i] = trainStepsCtx(ctx, c.Devices[i], cfg.LocalSteps)
-		}
-		if par > 1 && k > 1 {
-			core.RunConcurrent(k, par, trainOne)
-		} else {
-			for i := range c.Devices {
-				trainOne(i)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		slowest := 0.0
-		lossSum := 0.0
-		for i := range c.Devices {
-			lossSum += losses[i]
-			if elapsedTimes[i] > slowest {
-				slowest = elapsedTimes[i]
-			}
-			totalSteps += cfg.LocalSteps
-		}
-		// Full-population gossip average (ring all-reduce over K).
-		for i, d := range c.Devices {
-			d.ParametersInto(vecs[i])
-		}
-		aggregate.MeanInto(global, vecs)
-		now += slowest + commModel.RingAllReduceTime(k, paramBytes)
-		if k > 1 {
-			per := int64(2 * paramBytes * (k - 1) / k)
-			for _, d := range c.Devices {
-				comm.DeviceBytes[d.Cfg.ID] += per
-			}
-		}
-		for _, d := range c.Devices {
-			d.SetParameters(global)
-		}
-		comm.Rounds++
-
-		_, acc := c.Evaluate(global)
-		p := metrics.Point{
-			Epoch: c.EpochsProcessed(totalSteps), Time: now,
-			Loss: lossSum / float64(k), Accuracy: acc,
-		}
-		series.Add(p)
-		if cfg.OnRound != nil {
-			cfg.OnRound(core.RoundInfo{
-				Round: round + 1, Time: p.Time, Loss: p.Loss, Accuracy: p.Accuracy,
-			})
-		}
-	}
-	return &core.Result{Series: series, Comm: comm, Rounds: round, FinalParams: global}, nil
-}
-
-// trainStepsCtx runs up to n local steps on d, stopping early when ctx
-// is canceled (the caller abandons the partials and returns ctx.Err(),
-// so the truncated mean never reaches a result).
-func trainStepsCtx(ctx context.Context, d *device.Device, n int) (meanLoss, elapsed float64) {
-	sum := 0.0
-	done := 0
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
+	l := core.NewLoop(ctx, c, "decentralized-fedavg", cfg.RunConfig, cfg.Link)
+	l.Start()
+	trainE := func(d *device.Device) device.Partial { return d.TrainN(ctx, cfg.LocalSteps) }
+	for l.Next(cfg.MaxRounds) {
+		parts, ok := l.Train(l.All, trainE)
+		if !ok {
 			break
 		}
-		l, e := d.TrainStep()
-		sum += l
-		elapsed += e
-		done++
+		loss, slowest := barrier(parts)
+		// Barrier and ring are one charge to the clock (pinned float
+		// order); a full ring has nobody left to broadcast to.
+		l.Now += slowest + l.AllReduce(l.All)
+		l.Spread(nil, l.All, nil, 1)
+		l.Comm.Rounds++
+		l.Rounds++
+		l.Record(loss, core.RoundInfo{})
 	}
-	if done == 0 {
-		return 0, 0
-	}
-	return sum / float64(done), elapsed
-}
-
-func lastLoss(s *metrics.Series) float64 {
-	if l, ok := s.FinalLoss(); ok {
-		return l
-	}
-	return 0
+	return l.Result()
 }

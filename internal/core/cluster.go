@@ -179,14 +179,14 @@ func (c *Cluster) AliveAt(t float64) []int {
 	return out
 }
 
-// Device returns the device with the given id.
+// Device returns the device with the given id. BuildCluster assigns
+// ids 0..K−1 in slice order, so this is an index, not a search; an id
+// outside the cluster is a scheme bug and panics.
 func (c *Cluster) Device(id int) *device.Device {
-	for _, d := range c.Devices {
-		if d.Cfg.ID == id {
-			return d
-		}
+	if id < 0 || id >= len(c.Devices) {
+		panic(fmt.Sprintf("core: no device %d", id))
 	}
-	panic(fmt.Sprintf("core: no device %d", id))
+	return c.Devices[id]
 }
 
 // CommStats accounts communication volume per party, the basis of the

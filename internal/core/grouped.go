@@ -6,10 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"hadfl/internal/aggregate"
 	"hadfl/internal/device"
-	"hadfl/internal/metrics"
-	"hadfl/internal/p2p"
 	"hadfl/internal/predict"
 	"hadfl/internal/strategy"
 )
@@ -47,13 +44,11 @@ func DefaultGroupedConfig() GroupedConfig {
 	}
 }
 
-// RunHADFLGrouped executes hierarchical HADFL on the cluster. ctx
-// cancels the run cooperatively — checked at every round boundary and
-// inside every device's step loop, so cancellation takes effect within
-// one device step and returns ctx.Err(); the checks never alter an
-// uncancelled run. Devices train concurrently up to
-// Base.Parallelism (0 = GOMAXPROCS), with per-device partials joined
-// in device order so curves are byte-identical at every setting.
+// RunHADFLGrouped executes hierarchical HADFL on the cluster under the
+// Loop contracts. Its policy: every device fills the slowest group's
+// sync period; groups aggregate internally every round, and every
+// InterEvery rounds the freshest member of each group forms a
+// cross-group ring instead.
 func RunHADFLGrouped(ctx context.Context, c *Cluster, cfg GroupedConfig) (*Result, error) {
 	// The embedded RunConfig carries the façade's hierarchy knobs (it
 	// is the scheme-independent transport; Apply copied them into
@@ -81,49 +76,17 @@ func RunHADFLGrouped(ctx context.Context, c *Cluster, cfg GroupedConfig) (*Resul
 		return nil, fmt.Errorf("core: alpha %v", base.Alpha)
 	}
 	rng := rand.New(rand.NewSource(base.Seed + 31))
-	commModel := p2p.CommModel{Link: base.Link}
-	comm := NewCommStats()
-	series := &metrics.Series{Name: "hadfl-grouped"}
 	tracker := predict.NewTracker(base.Alpha)
-
-	// Warm-up: measure per-device timing, align initial models.
-	now := 0.0
-	totalSteps := 0
-	warmupEnd := 0.0
-	for _, d := range c.Devices {
-		calc := d.WarmupCtx(ctx, base.WarmupEpochs, base.WarmupLRScale)
-		if err := ctx.Err(); err != nil {
-			return nil, err // partial warmup: abandon calc, surface the abort
-		}
-		totalSteps += base.WarmupEpochs * d.Loader.BatchesPerEpoch()
-		if calc > warmupEnd {
-			warmupEnd = calc
-		}
+	l := NewLoop(ctx, c, "hadfl-grouped", base.RunConfig, base.Link)
+	l.WarmUp(base.WarmupEpochs, base.WarmupLRScale, func(d *device.Device, calc float64) error {
 		tracker.Seed(d.Cfg.ID, predict.ExpectedVersion(
 			float64(base.Strategy.Tsync)*d.EpochTime(), calc, base.WarmupEpochs))
-	}
-	now = warmupEnd
-	// Reused parameter plumbing: one gather buffer per device, one
-	// aggregation target and one merge scratch for the whole run.
-	pg := NewParamGather(len(c.InitParams))
-	global := make([]float64, len(c.InitParams))
-	aggregate.MeanInto(global, pg.CollectAll(c))
-	for _, d := range c.Devices {
-		d.SetParameters(global)
-	}
-	aggBuf := make([]float64, len(global))
-	mergeBuf := make([]float64, len(global))
-	paramBytes := 8 * len(global)
-	loss0, acc0 := c.Evaluate(global)
-	series.Add(metrics.Point{Epoch: c.EpochsProcessed(totalSteps), Time: now, Loss: loss0, Accuracy: acc0})
+		return nil
+	})
 
 	// Fixed grouping for the whole run (the paper regroups only on
 	// membership changes).
-	var ids []int
-	for _, d := range c.Devices {
-		ids = append(ids, d.Cfg.ID)
-	}
-	groups := strategy.Groups(rng, ids, cfg.GroupSize)
+	groups := strategy.Groups(rng, l.All, cfg.GroupSize)
 
 	// Per-group plan generation: each group has its own hyperperiod from
 	// its members' epoch times; the global round period is the maximum
@@ -132,210 +95,83 @@ func RunHADFLGrouped(ctx context.Context, c *Cluster, cfg GroupedConfig) (*Resul
 		var ests []strategy.DeviceEstimate
 		for _, id := range g {
 			d := c.Device(id)
-			v, ok := tracker.Forecast(id, 1)
-			if !ok {
-				v = 0
-			}
+			v, _ := tracker.Forecast(id, 1) // 0 before the first observation
 			ests = append(ests, strategy.DeviceEstimate{
 				ID: id, EpochTime: d.EpochTime(),
 				StepTime: d.EpochTime() / float64(d.Loader.BatchesPerEpoch()),
 				Version:  v,
 			})
 		}
-		np := cfg.IntraNp
-		if np > len(ests) {
-			np = len(ests)
-		}
 		sc := base.Strategy
-		sc.Np = np
+		sc.Np = min(cfg.IntraNp, len(ests))
 		return strategy.Generate(rng, sc, ests)
 	}
 
-	par := ResolveParallelism(base.Parallelism)
-	partials := make([]groupedDevResult, len(c.Devices))
-	round := 0
-	for ; round < base.MaxRounds && c.EpochsProcessed(totalSteps) < base.TargetEpochs; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		plans := make([]strategy.Plan, len(groups))
-		roundPeriod := 0.0
+	// A device whose clock barely advances would never fill the period;
+	// past this many steps the round is a configuration error.
+	const runaway = 100000
+	plans := make([]strategy.Plan, len(groups))
+	period := 0.0
+	fill := func(d *device.Device) device.Partial { return d.FillPeriod(ctx, period, runaway+1) }
+	for ; l.Next(base.MaxRounds); l.Rounds++ {
+		period = 0
 		for gi, g := range groups {
 			p, err := groupPlan(g)
 			if err != nil {
 				return nil, err
 			}
 			plans[gi] = p
-			if p.SyncPeriod > roundPeriod {
-				roundPeriod = p.SyncPeriod
+			period = max(period, p.SyncPeriod)
+		}
+		parts, ok := l.Train(l.All, fill)
+		if !ok {
+			break
+		}
+		for i, p := range parts {
+			if p.Steps > runaway {
+				return nil, fmt.Errorf("core: runaway local loop on device %d", l.All[i])
 			}
 		}
+		loss := l.StepLoss(parts)
+		l.Now += period
 
-		// Local training fills the global round period on every device,
-		// concurrently up to par; partials join in device order so the
-		// loss curve is byte-identical to the sequential schedule.
-		trainOne := func(i int) {
-			partials[i] = trainGroupedDevice(ctx, c.Devices[i], roundPeriod)
-		}
-		if par > 1 && len(c.Devices) > 1 {
-			RunConcurrent(len(c.Devices), par, trainOne)
-		} else {
-			for i := range c.Devices {
-				trainOne(i)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		roundLoss, lossCount := 0.0, 0
-		for i, d := range c.Devices {
-			if partials[i].runaway {
-				return nil, fmt.Errorf("core: runaway local loop on device %d", d.Cfg.ID)
-			}
-			roundLoss += partials[i].lossSum
-			lossCount += partials[i].steps
-			totalSteps += partials[i].steps
-		}
-		now += roundPeriod
-
-		inter := strategy.GroupSchedule(round+1, cfg.InterEvery)
 		var reps []int
-		if inter {
+		if strategy.GroupSchedule(l.Rounds+1, cfg.InterEvery) {
 			// Inter-group sync (Fig. 2b): the freshest member of each
 			// group forms a cross-group ring; the aggregate is broadcast
-			// to every device.
+			// to every device. Ring and broadcast are charged to the
+			// clock one after the other (pinned float order).
 			for _, g := range groups {
-				best, bestV := g[0], -1.0
+				best := g[0]
 				for _, id := range g {
-					if v := float64(c.Device(id).Version); v > bestV {
-						best, bestV = id, v
+					if c.Device(id).Version > c.Device(best).Version {
+						best = id
 					}
 				}
 				reps = append(reps, best)
 			}
 			sort.Ints(reps)
-			agg := aggBuf
-			aggregate.MeanInto(agg, pg.Collect(c, reps))
-			now += commModel.RingAllReduceTime(len(reps), paramBytes)
-			if len(reps) > 1 {
-				per := int64(2 * paramBytes * (len(reps) - 1) / len(reps))
-				for _, id := range reps {
-					comm.DeviceBytes[id] += per
-				}
-			}
-			for _, d := range c.Devices {
-				if contains(reps, d.Cfg.ID) {
-					d.SetParameters(agg)
-				} else {
-					d.ParametersInto(mergeBuf)
-					aggregate.MergeInto(mergeBuf, mergeBuf, agg, base.MergeBeta)
-					d.SetParameters(mergeBuf)
-				}
-			}
-			if len(c.Devices) > len(reps) {
-				sender := reps[rng.Intn(len(reps))]
-				comm.DeviceBytes[sender] += int64((len(c.Devices) - len(reps)) * paramBytes)
-				now += commModel.BroadcastTime(len(c.Devices)-len(reps), paramBytes)
-			}
-			copy(global, agg)
+			l.Now += l.AllReduce(reps)
+			l.Now += l.Spread(rng, reps, l.All, base.MergeBeta)
 		} else {
 			// Intra-group partial sync in every group independently; the
-			// slowest group's communication gates the round clock.
-			worstComm := 0.0
+			// slowest group's communication (ring + broadcast, summed
+			// before the max) gates the round clock. The last group's
+			// aggregate stands in as Global between inter syncs.
+			worst := 0.0
 			for gi, g := range groups {
-				p := plans[gi]
-				sel := p.Selected
-				if len(sel) == 0 {
-					continue
-				}
-				agg := aggBuf
-				aggregate.MeanInto(agg, pg.Collect(c, sel))
-				ct := commModel.RingAllReduceTime(len(sel), paramBytes)
-				if len(sel) > 1 {
-					per := int64(2 * paramBytes * (len(sel) - 1) / len(sel))
-					for _, id := range sel {
-						comm.DeviceBytes[id] += per
-					}
-				}
-				for _, id := range sel {
-					c.Device(id).SetParameters(agg)
-				}
-				var unsel []int
-				for _, id := range g {
-					if !contains(sel, id) {
-						unsel = append(unsel, id)
-					}
-				}
-				if len(unsel) > 0 {
-					sender := sel[rng.Intn(len(sel))]
-					comm.DeviceBytes[sender] += int64(len(unsel) * paramBytes)
-					ct += commModel.BroadcastTime(len(unsel), paramBytes)
-					for _, id := range unsel {
-						d := c.Device(id)
-						d.ParametersInto(mergeBuf)
-						aggregate.MergeInto(mergeBuf, mergeBuf, agg, base.MergeBeta)
-						d.SetParameters(mergeBuf)
-					}
-				}
-				if ct > worstComm {
-					worstComm = ct
-				}
-				copy(global, agg) // last group's aggregate stands in for eval between inter syncs
+				sel := plans[gi].Selected
+				worst = max(worst, l.AllReduce(sel)+l.Spread(rng, sel, g, base.MergeBeta))
 			}
-			now += worstComm
+			l.Now += worst
 		}
-		comm.Rounds++
+		l.Comm.Rounds++
 
 		for _, d := range c.Devices {
 			tracker.Observe(d.Cfg.ID, float64(d.Version))
 		}
-		loss := loss0
-		if lossCount > 0 {
-			loss = roundLoss / float64(lossCount)
-		}
-		_, acc := c.Evaluate(global)
-		series.Add(metrics.Point{Epoch: c.EpochsProcessed(totalSteps), Time: now, Loss: loss, Accuracy: acc})
-		if base.OnRound != nil {
-			base.OnRound(RoundInfo{
-				Round:    round,
-				Time:     now,
-				Selected: reps, // inter-group ring members; nil on intra rounds
-				Loss:     loss,
-				Accuracy: acc,
-			})
-		}
+		// Selected reports the inter-group ring; nil on intra rounds.
+		l.Record(loss, RoundInfo{Selected: reps})
 	}
-	return &Result{Series: series, Comm: comm, Rounds: round, FinalParams: global}, nil
-}
-
-// groupedDevResult carries one device's local-training partials out of
-// the (possibly concurrent) grouped training phase; joining them in
-// device order keeps the reduction independent of scheduling.
-type groupedDevResult struct {
-	steps   int
-	lossSum float64
-	runaway bool
-}
-
-// trainGroupedDevice fills the round period with local steps on d. It
-// touches only device-owned state, so distinct devices may run
-// concurrently. A canceled ctx stops the loop early; the caller then
-// abandons the partials and returns ctx.Err().
-func trainGroupedDevice(ctx context.Context, d *device.Device, roundPeriod float64) groupedDevResult {
-	var r groupedDevResult
-	elapsed := 0.0
-	for r.steps == 0 || elapsed+d.StepTime() <= roundPeriod {
-		if ctx.Err() != nil {
-			return r
-		}
-		l, e := d.TrainStep()
-		elapsed += e
-		r.steps++
-		r.lossSum += l
-		if r.steps > 100000 {
-			r.runaway = true
-			return r
-		}
-	}
-	return r
+	return l.Result()
 }

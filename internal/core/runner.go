@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sort"
-	"sync"
 
-	"hadfl/internal/aggregate"
 	"hadfl/internal/coordinator"
+	"hadfl/internal/device"
 	"hadfl/internal/metrics"
 	"hadfl/internal/p2p"
 	"hadfl/internal/strategy"
@@ -91,11 +88,11 @@ type Result struct {
 }
 
 // RunHADFL executes Algorithm 1 on the cluster and returns the training
-// curve (one point per synchronization round). ctx cancels the run
-// cooperatively: it is checked at every round boundary and inside every
-// device's local-step loop, so cancellation takes effect within one
-// device step and returns ctx.Err(). The checks never alter the
-// computation of an uncancelled run, preserving byte-determinism.
+// curve (one point per synchronization round). Cancellation, the
+// concurrent training join and the curve follow the Loop contracts;
+// what is HADFL's own is below: the coordinator's plan decides how long
+// each device trains and which Np aggregate, dead ring members are
+// bypassed at a time penalty, and the rest merge the broadcast.
 func RunHADFL(ctx context.Context, c *Cluster, cfg Config) (*Result, error) {
 	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
 		return nil, fmt.Errorf("core: alpha %v outside (0,1)", cfg.Alpha)
@@ -111,322 +108,92 @@ func RunHADFL(ctx context.Context, c *Cluster, cfg Config) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	coord := coordinator.New(cfg.Strategy, cfg.Alpha, 8, rng)
-	comm := NewCommStats()
-	series := &metrics.Series{Name: "hadfl"}
-	// linkFor resolves a device's link; worstModel returns a comm model
-	// gated by the slowest link among the given devices (heterogeneous
-	// bandwidth support).
-	linkFor := func(id int) p2p.Link {
-		if l, ok := cfg.DeviceLinks[id]; ok {
-			return l
-		}
-		return cfg.Link
-	}
-	worstModel := func(ids []int) p2p.CommModel {
-		worst := cfg.Link
-		seen := false
-		for _, id := range ids {
-			l := linkFor(id)
-			if !seen || l.TransferTime(1<<20) > worst.TransferTime(1<<20) {
-				worst, seen = l, true
-			}
-		}
-		return p2p.CommModel{Link: worst}
-	}
-	// --- Mutual-negotiation phase (workflow steps 2–3). Devices warm up
-	// in parallel; virtual time advances by the slowest warm-up.
-	now := 0.0
-	warmupEnd := 0.0
-	totalSteps := 0
-	for _, d := range c.Devices {
-		calc := d.WarmupCtx(ctx, cfg.WarmupEpochs, cfg.WarmupLRScale)
-		if err := ctx.Err(); err != nil {
-			return nil, err // partial warmup: abandon calc, surface the abort
-		}
-		totalSteps += cfg.WarmupEpochs * d.Loader.BatchesPerEpoch()
-		if calc > warmupEnd {
-			warmupEnd = calc
-		}
-		err := coord.RegisterProfile(coordinator.DeviceProfile{
+	l := NewLoop(ctx, c, "hadfl", cfg.RunConfig, cfg.Link)
+	l.DeviceLinks = cfg.DeviceLinks
+	l.WarmUp(cfg.WarmupEpochs, cfg.WarmupLRScale, func(d *device.Device, calc float64) error {
+		return coord.RegisterProfile(coordinator.DeviceProfile{
 			ID:           d.Cfg.ID,
 			EpochTime:    d.EpochTime(),
 			StepTime:     d.EpochTime() / float64(d.Loader.BatchesPerEpoch()),
 			WarmupTime:   calc,
 			WarmupEpochs: cfg.WarmupEpochs,
-		}, now)
-		if err != nil {
-			return nil, err
-		}
-	}
-	now = warmupEnd
+		}, 0)
+	})
 
-	// Devices synchronize the initial model after warm-up (Alg. 1 line 1):
-	// average the warm-up models so everyone starts aligned. The
-	// gatherer and the aggregation/merge buffers are reused every
-	// round, so the round loop allocates no fresh parameter vectors.
-	pg := NewParamGather(len(c.InitParams))
-	global := make([]float64, len(c.InitParams))
-	aggregate.MeanInto(global, pg.CollectAll(c))
-	for _, d := range c.Devices {
-		d.SetParameters(global)
-	}
-	aggBuf := make([]float64, len(global))
-	mergeBuf := make([]float64, len(global))
-	paramBytes := 8 * len(global)
-
-	loss0, acc0 := c.Evaluate(global)
-	series.Add(metrics.Point{Epoch: c.EpochsProcessed(totalSteps), Time: now, Loss: loss0, Accuracy: acc0})
-
-	// --- Round loop (workflow steps 4–8).
-	round := 0
-	for ; round < cfg.MaxRounds && c.EpochsProcessed(totalSteps) < cfg.TargetEpochs; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	// Round loop (workflow steps 4–8). The post statement counts rounds
+	// that end in an empty ring too.
+	for ; l.Next(cfg.MaxRounds); l.Rounds++ {
 		// Heartbeats from devices alive now.
 		for _, d := range c.Devices {
-			if d.AliveAt(now) {
-				coord.Liveness.Heartbeat(d.Cfg.ID, now)
+			if d.AliveAt(l.Now) {
+				coord.Liveness.Heartbeat(d.Cfg.ID, l.Now)
 			} else {
 				coord.Liveness.MarkDead(d.Cfg.ID)
 			}
 		}
-		plan, avail, err := coord.NextPlan(now, cfg.LivenessTimeout)
+		plan, avail, err := coord.NextPlan(l.Now, cfg.LivenessTimeout)
 		if err != nil {
 			break // no devices left
 		}
 
 		// Local training: each available device fills the sync period
-		// with local steps (Alg. 1 lines 13–19). Devices run at least
-		// one step; jitter and drift shift the realized counts, which is
-		// what the predictor has to track. Devices are independent
-		// between syncs, so they train concurrently (bounded by
-		// cfg.Parallelism); per-device partials join in avail order so
-		// the curve is byte-identical to the sequential schedule.
-		roundLoss := 0.0
-		lossCount := 0
-		results := trainDevices(ctx, c, avail, plan, ResolveParallelism(cfg.Parallelism))
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		// with local steps (Alg. 1 lines 13–19). Jitter and drift shift
+		// the realized counts, which is what the predictor has to track;
+		// 4·E+4 steps caps a device whose clock barely advances.
+		parts, ok := l.Train(avail, func(d *device.Device) device.Partial {
+			return d.FillPeriod(ctx, plan.SyncPeriod, 4*plan.LocalSteps[d.Cfg.ID]+4)
+		})
+		if !ok {
+			break
 		}
-		for _, r := range results {
-			roundLoss += r.lossSum
-			lossCount += r.steps
-			totalSteps += r.steps
-		}
-		now += plan.SyncPeriod
+		loss := l.StepLoss(parts)
+		l.Now += plan.SyncPeriod
 
-		// Determine who is still alive at the sync instant; dead ring
-		// members are bypassed (§III-D) at a time penalty.
-		aliveSet := map[int]bool{}
-		for _, id := range c.AliveAt(now) {
-			aliveSet[id] = true
+		// Who is still alive at the sync instant: dead ring members are
+		// bypassed (§III-D) at a time penalty. avail is sorted, so alive
+		// is too — the order SelectOverride is promised.
+		var alive []int
+		for _, id := range avail {
+			if c.Device(id).AliveAt(l.Now) {
+				alive = append(alive, id)
+			}
 		}
 		selected := plan.Selected
-		if cfg.SelectOverride != nil {
+		if cfg.SelectOverride != nil && len(alive) > 0 {
 			versions := map[int]float64{}
-			var aliveIDs []int
-			for _, id := range avail {
-				if aliveSet[id] {
-					aliveIDs = append(aliveIDs, id)
-					versions[id] = float64(c.Device(id).Version)
-				}
+			for _, id := range alive {
+				versions[id] = float64(c.Device(id).Version)
 			}
-			sort.Ints(aliveIDs)
-			if len(aliveIDs) > 0 {
-				np := cfg.Strategy.Np
-				if np > len(aliveIDs) {
-					np = len(aliveIDs)
-				}
-				selected = cfg.SelectOverride(rng, aliveIDs, versions, np)
-			}
+			selected = cfg.SelectOverride(rng, alive, versions, min(cfg.Strategy.Np, len(alive)))
 		}
-		var ringAlive []int
+		var ring []int
 		bypassed := 0
 		for _, id := range selected {
-			if aliveSet[id] {
-				ringAlive = append(ringAlive, id)
+			if c.Device(id).AliveAt(l.Now) {
+				ring = append(ring, id)
 			} else {
 				bypassed++
 				coord.Liveness.MarkDead(id)
 			}
 		}
-		if len(ringAlive) == 0 {
-			// Nobody to aggregate; charge the failed round and continue.
-			now += cfg.FaultPenalty * float64(bypassed)
+		// Float order is pinned: ring time then fault penalty on a
+		// surviving ring, the penalty alone when nobody is left to
+		// aggregate (the failed round is charged and the loop moves on).
+		if len(ring) == 0 {
+			l.Now += cfg.FaultPenalty * float64(bypassed)
 			continue
 		}
-
-		// Partial aggregation over the surviving ring via gossip
-		// scatter-gather. Charge ring all-reduce time plus fault
-		// penalties, and account 2·M·(np−1)/np bytes per ring member
-		// (scatter-reduce + all-gather), the standard ring volume.
-		agg := aggBuf
-		aggregate.MeanInto(agg, pg.Collect(c, ringAlive))
-		np := len(ringAlive)
-		now += worstModel(ringAlive).RingAllReduceTime(np, paramBytes)
-		now += cfg.FaultPenalty * float64(bypassed)
-		if np > 1 {
-			per := int64(2 * paramBytes * (np - 1) / np)
-			for _, id := range ringAlive {
-				comm.DeviceBytes[id] += per
-			}
-		}
-
-		// Selected devices adopt the aggregate; a random ring member
-		// broadcasts it to the unselected alive devices, which merge it
-		// into their local models (non-blocking; the sender pays the
-		// serialization time).
-		for _, id := range ringAlive {
-			c.Device(id).SetParameters(agg)
-		}
-		var unsel []int
-		for _, id := range avail {
-			if !aliveSet[id] {
-				continue
-			}
-			if !contains(ringAlive, id) {
-				unsel = append(unsel, id)
-			}
-		}
-		if len(unsel) > 0 {
-			sender := ringAlive[rng.Intn(len(ringAlive))]
-			comm.DeviceBytes[sender] += int64(len(unsel) * paramBytes)
-			now += (p2p.CommModel{Link: linkFor(sender)}).BroadcastTime(len(unsel), paramBytes)
-			for _, id := range unsel {
-				d := c.Device(id)
-				d.ParametersInto(mergeBuf)
-				aggregate.MergeInto(mergeBuf, mergeBuf, agg, cfg.MergeBeta)
-				d.SetParameters(mergeBuf)
-			}
-		}
-		comm.Rounds++
+		l.Now += l.AllReduce(ring)
+		l.Now += cfg.FaultPenalty * float64(bypassed)
+		l.Now += l.Spread(rng, ring, alive, cfg.MergeBeta)
+		l.Comm.Rounds++
 
 		// Report versions (workflow step 7) so the tracker can predict.
-		for _, id := range avail {
-			if aliveSet[id] {
-				coord.ReportVersion(id, float64(c.Device(id).Version), now)
-			}
+		for _, id := range alive {
+			coord.ReportVersion(id, float64(c.Device(id).Version), l.Now)
 		}
-		coord.Backup(round, agg)
-
-		loss := loss0
-		if lossCount > 0 {
-			loss = roundLoss / float64(lossCount)
-		}
-		_, acc := c.Evaluate(agg)
-		series.Add(metrics.Point{
-			Epoch: c.EpochsProcessed(totalSteps), Time: now, Loss: loss, Accuracy: acc,
-		})
-		copy(global, agg) // keep FinalParams off the reused aggBuf scratch
-		if cfg.OnRound != nil {
-			cfg.OnRound(RoundInfo{
-				Round:      round,
-				Time:       now,
-				Selected:   append([]int(nil), ringAlive...),
-				Bypassed:   bypassed,
-				LocalSteps: plan.LocalSteps,
-				Loss:       loss,
-				Accuracy:   acc,
-			})
-		}
+		coord.Backup(l.Rounds, l.Global)
+		l.Record(loss, RoundInfo{Selected: ring, Bypassed: bypassed, LocalSteps: plan.LocalSteps})
 	}
-	return &Result{Series: series, Comm: comm, Rounds: round, FinalParams: global}, nil
-}
-
-// devResult carries one device's local-training partials out of the
-// (possibly concurrent) training phase. Summing partials in avail
-// order keeps the floating-point reduction identical whether devices
-// ran sequentially or concurrently.
-type devResult struct {
-	steps   int
-	lossSum float64
-}
-
-// ResolveParallelism resolves a Parallelism config value: 0 (or
-// negative) means GOMAXPROCS. Shared by the HADFL runner and the
-// baseline schemes.
-func ResolveParallelism(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// RunConcurrent executes fn(0..n-1) with at most par goroutines in
-// flight (par < 1 is clamped to 1) and waits for all of them. fn
-// calls must touch disjoint state; combine any shared totals after
-// the join, in index order, so results stay independent of
-// scheduling.
-func RunConcurrent(n, par int, fn func(i int)) {
-	if par < 1 {
-		par = 1
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// trainOneDevice runs device id's local steps for this sync period
-// (Alg. 1 lines 13–19) and returns its partials. It touches only
-// device-owned state (model, optimizer, loader, RNG), so distinct
-// devices may run concurrently. A canceled ctx stops the step loop
-// early; the caller then abandons the partials and returns ctx.Err(),
-// so the early exit never reaches a result.
-func trainOneDevice(ctx context.Context, c *Cluster, id int, plan strategy.Plan) devResult {
-	d := c.Device(id)
-	elapsed := 0.0
-	steps := 0
-	lossSum := 0.0
-	target := plan.LocalSteps[id]
-	for steps == 0 || (elapsed < plan.SyncPeriod && steps < 4*target+4) {
-		if ctx.Err() != nil {
-			break
-		}
-		l, e := d.TrainStep()
-		elapsed += e
-		steps++
-		lossSum += l
-		if elapsed+d.StepTime() > plan.SyncPeriod && steps >= 1 {
-			break
-		}
-	}
-	return devResult{steps: steps, lossSum: lossSum}
-}
-
-// trainDevices runs the local-training phase for every available
-// device, at most par concurrently, and returns per-device partials
-// indexed like avail.
-func trainDevices(ctx context.Context, c *Cluster, avail []int, plan strategy.Plan, par int) []devResult {
-	results := make([]devResult, len(avail))
-	if par <= 1 || len(avail) <= 1 {
-		for i, id := range avail {
-			results[i] = trainOneDevice(ctx, c, id, plan)
-		}
-		return results
-	}
-	RunConcurrent(len(avail), par, func(i int) {
-		results[i] = trainOneDevice(ctx, c, avail[i], plan)
-	})
-	return results
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	return l.Result()
 }

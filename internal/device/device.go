@@ -124,19 +124,56 @@ func (d *Device) TrainStep() (loss float64, elapsed float64) {
 	return loss, elapsed
 }
 
-// TrainSteps runs n local steps, returning the mean loss and total
-// virtual time.
-func (d *Device) TrainSteps(n int) (meanLoss float64, elapsed float64) {
-	if n <= 0 {
-		panic(fmt.Sprintf("device: TrainSteps(%d)", n))
+// Partial is one device's share of a training phase. Schemes combine
+// partials after the join, in device order, so a curve never depends
+// on how the devices were scheduled.
+type Partial struct {
+	Steps   int
+	LossSum float64 // sum of the step losses
+	Elapsed float64 // virtual seconds of compute
+}
+
+// MeanLoss is the mean step loss (0 for a phase canceled before its
+// first step).
+func (p Partial) MeanLoss() float64 {
+	if p.Steps == 0 {
+		return 0
 	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		l, e := d.TrainStep()
-		sum += l
-		elapsed += e
+	return p.LossSum / float64(p.Steps)
+}
+
+// TrainN runs n local steps. A canceled ctx stops the loop within one
+// step; the caller must then discard the truncated partial and surface
+// ctx.Err() — the check never changes an uncancelled phase.
+func (d *Device) TrainN(ctx context.Context, n int) (p Partial) {
+	for p.Steps < n && ctx.Err() == nil {
+		p.step(d)
 	}
-	return sum / float64(n), elapsed
+	return p
+}
+
+// step runs one local step on d and adds it to the partial.
+func (p *Partial) step(d *Device) {
+	l, e := d.TrainStep()
+	p.Steps++
+	p.LossSum += l
+	p.Elapsed += e
+}
+
+// FillPeriod runs local steps until the next one would overrun period
+// virtual seconds (Alg. 1 lines 13–19): at least one step, at most
+// maxSteps. Cancellation behaves as in TrainN. StepTime draws from the
+// device RNG under jitter, so the lookahead calls it exactly once
+// after each step — the call pattern is part of the determinism
+// contract.
+func (d *Device) FillPeriod(ctx context.Context, period float64, maxSteps int) (p Partial) {
+	for ctx.Err() == nil {
+		p.step(d)
+		if p.Elapsed+d.StepTime() > period || p.Steps >= maxSteps {
+			break
+		}
+	}
+	return p
 }
 
 // EpochTime returns the virtual duration of one full local epoch at
@@ -165,13 +202,7 @@ func (d *Device) WarmupCtx(ctx context.Context, epochs int, lrScale float64) (ca
 	if steps < 1 {
 		steps = epochs
 	}
-	for i := 0; i < steps; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		_, e := d.TrainStep()
-		calcTime += e
-	}
+	calcTime = d.TrainN(ctx, steps).Elapsed
 	d.Opt.LR = origLR
 	d.Schedule = origSchedule
 	return calcTime

@@ -49,10 +49,11 @@ func TestTrainStepAdvancesVersionAndTime(t *testing.T) {
 
 func TestTrainStepsLearns(t *testing.T) {
 	d := newTestDevice(t, Config{ID: 0, Power: 1, BaseStepTime: 1})
-	first, _ := d.TrainSteps(5)
+	ctx := context.Background()
+	first := d.TrainN(ctx, 5).MeanLoss()
 	var last float64
 	for i := 0; i < 20; i++ {
-		last, _ = d.TrainSteps(5)
+		last = d.TrainN(ctx, 5).MeanLoss()
 	}
 	if last >= first {
 		t.Fatalf("loss did not decrease: %v → %v", first, last)
@@ -92,7 +93,7 @@ func TestEpochTime(t *testing.T) {
 
 func TestSetParametersResetsSyncCounterAndMomentum(t *testing.T) {
 	d := newTestDevice(t, Config{ID: 0, Power: 1, BaseStepTime: 1})
-	d.TrainSteps(3)
+	d.TrainN(context.Background(), 3)
 	if d.StepsSinceSync != 3 {
 		t.Fatalf("StepsSinceSync = %d", d.StepsSinceSync)
 	}

@@ -247,6 +247,9 @@ func (p *Pool) runJob(worker string, j *Job) {
 		ch <- outcome{res, err}
 	}()
 
+	// Both finishers write the run's counters and duration before they
+	// publish the terminal state: a client that sees the job terminal
+	// and then reads /stats must find the run already counted.
 	finishErr := func(cause error, path ...string) {
 		jerr := &JobError{
 			JobID: j.ID, Scheme: j.Scheme, Options: j.Options,
@@ -256,7 +259,6 @@ func (p *Pool) runJob(worker string, j *Job) {
 			Timeout:  errors.Is(cause, context.DeadlineExceeded),
 			Canceled: errors.Is(cause, context.Canceled),
 		}
-		j.finish(nil, jerr)
 		p.reg.Observe("run_duration_seconds", jerr.Duration.Seconds())
 		span.SetError(cause)
 		log := log
@@ -280,13 +282,14 @@ func (p *Pool) runJob(worker string, j *Job) {
 			p.reg.Inc("runs_failed_total")
 			log.Error("job failed", "err", cause, "durationSec", jerr.Duration.Seconds())
 		}
+		j.finish(nil, jerr)
 	}
 	finishOK := func(res *hadfl.Result) {
-		j.finish(res, nil)
 		dur := j.RunningFor()
 		p.reg.Inc("runs_completed_total")
 		p.reg.Observe("run_duration_seconds", dur.Seconds())
 		p.recordEval(res)
+		j.finish(res, nil)
 		rounds := 0
 		if res != nil {
 			rounds = res.Rounds
