@@ -7,8 +7,8 @@ check: fmt-check vet lint build test-short
 # ci is the full pre-merge gate: formatting, vet, the project-invariant
 # lint suite (before the test stages, so invariant breaks fail fast),
 # the short suite, the short suite under the race detector, the
-# allocation guards (the zero-alloc train/eval steps plus the
-# whole-run allocation budget), the wire-codec fuzz smoke, the
+# allocation guards (the zero-alloc kernels and train/eval steps plus
+# the whole-run allocation budget), the wire-codec fuzz smoke, the
 # dispatch e2e suite under -race, the benchmark module's own vet and
 # unit tests, and the coverage report with its floor.
 ci: fmt-check vet lint test-short test-race-short alloc-guard fuzz-short e2e-dispatch loadgen-smoke bench-module-test cover
@@ -58,7 +58,7 @@ e2e-dispatch:
 # also run inside test-short; this target is the named gate so a perf
 # regression fails loudly on its own line).
 alloc-guard:
-	$(GO) test -run 'ZeroAlloc' ./internal/nn ./internal/eval ./internal/serve
+	$(GO) test -run 'ZeroAlloc' ./internal/tensor ./internal/nn ./internal/eval ./internal/serve
 	$(GO) test -run 'TestRunAllocationBudget' .
 
 # loadgen-smoke is the serving-layer acceptance gate inside make ci: a

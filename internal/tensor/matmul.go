@@ -5,31 +5,68 @@ import "fmt"
 // Matrix kernels. All three product shapes (a·b, aᵀ·b, a·bᵀ) come in
 // allocating, into, and (where the nn backward passes accumulate)
 // into-accumulate forms, plus a fused matmul+bias epilogue for the
-// dense/conv forward path. The into forms are cache-blocked over the
-// inner dimension and shard independent output rows across the package
-// worker pool (see parallel.go); per-element accumulation always runs
-// in ascending inner-index order, so every variant is bit-deterministic
-// at every parallelism level.
+// dense/conv forward path. The into forms shard independent output rows
+// across the package worker pool (see parallel.go), and every output
+// element is one sum taken in ascending inner-index order with the bias
+// added last, so every variant is bit-deterministic at every
+// parallelism level.
+//
+// Inside a row the loops are register-tiled so each value loaded feeds
+// four accumulators. Two loops may be tiled without touching any sum:
+//
+//   - a·bᵀ is a grid of independent dot products; dot4 walks one row of
+//     a against four rows of b, so each a[p] feeds four running sums.
+//   - a·b and aᵀ·b add a[i][p]·b[p][·] into output row i for ascending
+//     p; axpy4 folds four consecutive contributing p into one pass,
+//     d = (((d + a0·b0) + a1·b1) + a2·b2) + a3·b3, which is the same
+//     additions in the same order with d read and written once, not
+//     four times. These two forms are also k-blocked (blockK); a·bᵀ is
+//     not, its operands are already contiguous along k.
+//
+// What may not be done is anything that splits one element's sum —
+// partial sums over halves of k, a second accumulator per element,
+// reordered terms — because float addition does not reassociate. The
+// golden fixtures (testdata/golden_runs.json, benchmark/golden) pin the
+// resulting bits. They are amd64 bits: the Go spec lets a compiler fuse
+// x*y + z into one rounding, which arm64 does and amd64 does not, so
+// another architecture may legitimately produce different fixtures
+// (still identical across parallelism levels there).
 //
 // Each kernel's sharded body is a named function — not a closure — and
 // the serial path calls it directly, so kernels allocate nothing when
 // Parallelism() is 1 or the matrix is below the sharding threshold.
 // Only the parallel dispatch spends a few words on coordination.
 
-// blockK is the inner-dimension tile: one tile of b (blockK rows)
-// stays resident in cache while a chunk of output rows streams over it.
+// blockK is the inner-dimension tile of a·b and aᵀ·b: one tile of b
+// (blockK rows) stays resident in cache while a chunk of output rows
+// streams over it.
 const blockK = 256
+
+// matDims checks the operands of the product op — both 2-D, the inner
+// dimensions equal once a (transA) or b (transB) is read transposed —
+// and returns the product's m, k, n.
+func matDims(op string, a, b *Tensor, transA, transB bool) (m, k, n int) {
+	if a.Dims() != 2 || b.Dims() != 2 {
+		panic(fmt.Sprintf("tensor: %s needs 2-D operands, got %v and %v", op, a.shape, b.shape))
+	}
+	m, k = a.shape[0], a.shape[1]
+	kb, n := b.shape[0], b.shape[1]
+	aT, bT := "", ""
+	if transA {
+		m, k, aT = k, m, "ᵀ"
+	}
+	if transB {
+		kb, n, bT = n, kb, "ᵀ"
+	}
+	if k != kb {
+		panic(fmt.Sprintf("tensor: %s inner dimensions differ: %v%s · %v%s", op, a.shape, aT, b.shape, bT))
+	}
+	return m, k, n
+}
 
 // MatMul returns the matrix product a·b for 2-D tensors a (m×k) and b (k×n).
 func MatMul(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs 2-D operands, got %v and %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimensions differ: %v · %v", a.shape, b.shape))
-	}
+	m, _, n := matDims("MatMul", a, b, false, false)
 	out := New(m, n)
 	MatMulInto(out, a, b)
 	return out
@@ -37,65 +74,17 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulInto computes dst = a·b, reusing dst's storage. dst must be m×n.
 func MatMulInto(dst, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	ad, bd, dd := a.data, b.data, dst.data
-	if runSerial(m * n * k) {
-		matMulRows(dd, ad, bd, 0, m, k, n)
-		return
-	}
-	parallelFor(m, rowGrain(m, 2*n*k), func(i0, i1 int) {
-		matMulRows(dd, ad, bd, i0, i1, k, n)
-	})
-}
-
-// matMulRows computes output rows [i0, i1) of dst = a·b, k-blocked so a
-// tile of b stays cache-resident across the row chunk. Per element the
-// accumulation over p is strictly ascending — identical to the naive
-// i-k-j loop.
-func matMulRows(dd, ad, bd []float64, i0, i1, k, n int) {
-	for p0 := 0; p0 < k; p0 += blockK {
-		p1 := p0 + blockK
-		if p1 > k {
-			p1 = k
-		}
-		for i := i0; i < i1; i++ {
-			arow := ad[i*k : (i+1)*k]
-			drow := dd[i*n : (i+1)*n]
-			if p0 == 0 {
-				for j := range drow {
-					drow[j] = 0
-				}
-			}
-			for p := p0; p < p1; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
-			}
-		}
-	}
+	m, k, n := matDims("MatMulInto", a, b, false, false)
+	mustShape("MatMulInto dst", dst, m, n)
+	mulAddInto(dst.data, a.data, b.data, m, k, n, k, 1, false)
 }
 
 // MatMulTransA returns aᵀ·b for a (k×m) and b (k×n), producing m×n,
 // without materializing the transpose.
 func MatMulTransA(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA needs 2-D operands, got %v and %v", a.shape, b.shape))
-	}
-	k, m := a.shape[0], a.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dimensions differ: %vᵀ · %v", a.shape, b.shape))
-	}
-	out := New(m, b.shape[1])
-	matMulTransAInto(out, a, b, false)
+	m, _, n := matDims("MatMulTransA", a, b, true, false)
+	out := New(m, n)
+	MatMulTransAInto(out, a, b)
 	return out
 }
 
@@ -107,65 +96,94 @@ func MatMulTransAInto(dst, a, b *Tensor) { matMulTransAInto(dst, a, b, false) }
 func MatMulTransAAccInto(dst, a, b *Tensor) { matMulTransAInto(dst, a, b, true) }
 
 func matMulTransAInto(dst, a, b *Tensor, acc bool) {
-	k, m := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMulTransAInto inner dimensions differ: %vᵀ · %v", a.shape, b.shape))
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransAInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	ad, bd, dd := a.data, b.data, dst.data
+	m, k, n := matDims("MatMulTransAInto", a, b, true, false)
+	mustShape("MatMulTransAInto dst", dst, m, n)
+	mulAddInto(dst.data, a.data, b.data, m, k, n, 1, m, acc)
+}
+
+// mulAddInto computes dst = A·b (dst += A·b with acc) for the m×k matrix
+// A whose element (i, p) is ad[i*si+p*sp]: si, sp = k, 1 reads a
+// row-major a; si, sp = 1, m reads the transpose of a k×m a in place.
+func mulAddInto(dd, ad, bd []float64, m, k, n, si, sp int, acc bool) {
 	if runSerial(m * n * k) {
-		matMulTransARows(dd, ad, bd, 0, m, k, m, n, acc)
+		mulAddRows(dd, ad, bd, 0, m, k, n, si, sp, acc)
 		return
 	}
 	parallelFor(m, rowGrain(m, 2*n*k), func(i0, i1 int) {
-		matMulTransARows(dd, ad, bd, i0, i1, k, m, n, acc)
+		mulAddRows(dd, ad, bd, i0, i1, k, n, si, sp, acc)
 	})
 }
 
-// matMulTransARows computes output rows [i0, i1) of dst = aᵀ·b (or +=
-// with acc), k-blocked; per element the accumulation over p ascends.
-func matMulTransARows(dd, ad, bd []float64, i0, i1, k, m, n int, acc bool) {
+// mulAddRows computes output rows [i0, i1) of mulAddInto, k-blocked so
+// a tile of b stays cache-resident across the row chunk. Row i takes
+// A[i][p]·b[p] for ascending p. A zero A[i][p] adds nothing — not the
+// NaN of 0·Inf when b has diverged, not the +0 that would turn a −0
+// already in dst positive — so zeros are dropped first and the
+// survivors go in four at a time: a gradient that came through a ReLU
+// is half zeros and still fills its groups. What reaches each element
+// is exactly the naive i-p-j loop's sum.
+func mulAddRows(dd, ad, bd []float64, i0, i1, k, n, si, sp int, acc bool) {
 	for p0 := 0; p0 < k; p0 += blockK {
-		p1 := p0 + blockK
-		if p1 > k {
-			p1 = k
-		}
+		p1 := min(p0+blockK, k)
 		for i := i0; i < i1; i++ {
 			drow := dd[i*n : (i+1)*n]
 			if p0 == 0 && !acc {
-				for j := range drow {
-					drow[j] = 0
-				}
+				clear(drow)
 			}
+			var (
+				av [4]float64 // pending nonzero A[i][p] ...
+				bv [4]int     // ... and where each one's row of b starts
+				c  int
+			)
 			for p := p0; p < p1; p++ {
-				av := ad[p*m+i]
-				if av == 0 {
+				a := ad[i*si+p*sp]
+				if a == 0 {
 					continue
 				}
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					drow[j] += av * bv
+				av[c], bv[c] = a, p*n
+				if c++; c == 4 {
+					axpy4(drow, bd, &bv, &av)
+					c = 0
 				}
 			}
+			for q := 0; q < c; q++ {
+				axpy(drow, bd[bv[q]:], av[q])
+			}
 		}
+	}
+}
+
+// axpy adds a·b[j] to every d[j]. It is VecAxpy's serial loop: VecAxpy
+// itself may shard, which a kernel-pool task must not (see parallel.go).
+func axpy(d, b []float64, a float64) {
+	b = b[:len(d)]
+	for j := range d {
+		d[j] += a * b[j]
+	}
+}
+
+// axpy4 adds four rows of b, starting at b[at[0..3]] and scaled by
+// a[0..3], to d in one pass; each d[j] takes its four terms left to
+// right, as four axpy calls would give it, but is loaded and stored
+// once. Slicing every row to len(d) lets the compiler drop the bounds
+// checks in the loop. Inlined into mulAddRows the loop's five pointers
+// and four scalars spill to the stack and it runs at half the speed.
+//
+//go:noinline
+func axpy4(d, b []float64, at *[4]int, a *[4]float64) {
+	b0, b1, b2, b3 := b[at[0]:][:len(d)], b[at[1]:][:len(d)], b[at[2]:][:len(d)], b[at[3]:][:len(d)]
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	for j := range d {
+		d[j] = (((d[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
 	}
 }
 
 // MatMulTransB returns a·bᵀ for a (m×k) and b (n×k), producing m×n,
 // without materializing the transpose.
 func MatMulTransB(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB needs 2-D operands, got %v and %v", a.shape, b.shape))
-	}
-	m := a.shape[0]
-	if b.shape[1] != a.shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dimensions differ: %v · %vᵀ", a.shape, b.shape))
-	}
-	out := New(m, b.shape[0])
-	matMulTransBInto(out, a, b, nil)
+	m, _, n := matDims("MatMulTransB", a, b, false, true)
+	out := New(m, n)
+	MatMulTransBInto(out, a, b)
 	return out
 }
 
@@ -175,21 +193,14 @@ func MatMulTransBInto(dst, a, b *Tensor) { matMulTransBInto(dst, a, b, nil) }
 // MatMulTransBBiasInto computes dst = a·bᵀ + bias broadcast over rows —
 // the fused dense/conv forward epilogue (bias has n elements).
 func MatMulTransBBiasInto(dst, a, b, bias *Tensor) {
-	if bias.Dims() != 1 || bias.shape[0] != b.shape[0] {
-		panic(fmt.Sprintf("tensor: MatMulTransBBiasInto bias %v, want [%d]", bias.shape, b.shape[0]))
-	}
+	_, _, n := matDims("MatMulTransBBiasInto", a, b, false, true)
+	mustShape("MatMulTransBBiasInto bias", bias, n)
 	matMulTransBInto(dst, a, b, bias.data)
 }
 
 func matMulTransBInto(dst, a, b *Tensor, bias []float64) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[0]
-	if b.shape[1] != k {
-		panic(fmt.Sprintf("tensor: MatMulTransBInto inner dimensions differ: %v · %vᵀ", a.shape, b.shape))
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
+	m, k, n := matDims("MatMulTransBInto", a, b, false, true)
+	mustShape("MatMulTransBInto dst", dst, m, n)
 	ad, bd, dd := a.data, b.data, dst.data
 	if runSerial(m * n * k) {
 		matMulTransBRows(dd, ad, bd, bias, 0, m, k, n)
@@ -201,23 +212,52 @@ func matMulTransBInto(dst, a, b *Tensor, bias []float64) {
 }
 
 // matMulTransBRows computes output rows [i0, i1) of dst = a·bᵀ (+bias):
-// contiguous dot products, each summed in ascending p order.
+// contiguous dot products, four columns at a time, each summed in
+// ascending p order with its bias added after the sum is complete.
 func matMulTransBRows(dd, ad, bd, bias []float64, i0, i1, k, n int) {
 	for i := i0; i < i1; i++ {
 		arow := ad[i*k : (i+1)*k]
 		drow := dd[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
-			s := 0.0
-			for p, av := range arow {
-				s += av * brow[p]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = dot4(arow, bd[j*k:(j+4)*k])
+		}
+		for ; j < n; j++ {
+			drow[j] = dot(arow, bd[j*k:(j+1)*k])
+		}
+		if bias != nil {
+			for j, bv := range bias {
+				drow[j] += bv
 			}
-			if bias != nil {
-				s += bias[j]
-			}
-			drow[j] = s
 		}
 	}
+}
+
+// dot returns Σ a[p]·b[p], summed from zero in ascending p (VecDot sums
+// by chunks, a different order, and may shard).
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := 0.0
+	for p, av := range a {
+		s += av * b[p]
+	}
+	return s
+}
+
+// dot4 returns the dot products of a with four rows of b, laid out back
+// to back, in one pass over a: four independent sums, each exactly
+// dot's. Slicing every row to len(a) lets the compiler drop the bounds
+// checks in the loop.
+func dot4(a, b []float64) (s0, s1, s2, s3 float64) {
+	k := len(a)
+	b0, b1, b2, b3 := b[:k], b[k:][:k], b[2*k:][:k], b[3*k:][:k]
+	for p, av := range a {
+		s0 += av * b0[p]
+		s1 += av * b1[p]
+		s2 += av * b2[p]
+		s3 += av * b3[p]
+	}
+	return s0, s1, s2, s3
 }
 
 // Transpose returns the transpose of a 2-D tensor.
