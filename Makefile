@@ -7,8 +7,9 @@ check: fmt-check vet lint build test-short
 # ci is the full pre-merge gate: formatting, vet, the project-invariant
 # lint suite (before the test stages, so invariant breaks fail fast),
 # the short suite, the short suite under the race detector, the
-# allocation guards (the zero-alloc kernels and train/eval steps plus
-# the whole-run allocation budget), the wire-codec fuzz smoke, the
+# allocation guards (the zero-alloc kernels and train/eval steps, the
+# device step under concurrent devices, plus the whole-run allocation
+# budgets), the wire-codec fuzz smoke, the
 # dispatch e2e suite under -race, the benchmark module's own vet and
 # unit tests, and the coverage report with its floor.
 ci: fmt-check vet lint test-short test-race-short alloc-guard fuzz-short e2e-dispatch loadgen-smoke bench-module-test cover
@@ -58,7 +59,7 @@ e2e-dispatch:
 # also run inside test-short; this target is the named gate so a perf
 # regression fails loudly on its own line).
 alloc-guard:
-	$(GO) test -run 'ZeroAlloc' ./internal/tensor ./internal/nn ./internal/eval ./internal/serve
+	$(GO) test -run 'ZeroAlloc' ./internal/tensor ./internal/nn ./internal/device ./internal/eval ./internal/serve
 	$(GO) test -run 'TestRunAllocationBudget' .
 
 # loadgen-smoke is the serving-layer acceptance gate inside make ci: a
@@ -110,10 +111,11 @@ bench:
 
 # test-race runs the fixed-seed parallel-determinism contract, the
 # golden runs (and the kernel bit-determinism tests) under the race
-# detector.
+# detector, plus every package that starts goroutines around models:
+# the round loop, asyncfl's compute workers, the evaluator's replicas.
 test-race:
 	$(GO) test -race -run 'TestParallelDeterminism|TestGoldenRuns' .
-	$(GO) test -race ./internal/tensor ./internal/core ./internal/baselines
+	$(GO) test -race ./internal/tensor ./internal/device ./internal/eval ./internal/core ./internal/baselines
 
 # test-race-short is the race-detector slice of make ci: the
 # determinism contract, the golden runs at Parallelism 4 (every
@@ -121,7 +123,7 @@ test-race:
 # concurrency-heavy packages, with slow tests skipped.
 test-race-short:
 	$(GO) test -race -short -run 'TestParallelDeterminism|TestGoldenRuns|TestRunContext|TestCompareContext' .
-	$(GO) test -race -short ./internal/tensor ./internal/core ./internal/baselines ./internal/serve
+	$(GO) test -race -short ./internal/tensor ./internal/device ./internal/eval ./internal/core ./internal/baselines ./internal/serve
 
 # bench-json snapshots the compute-core benchmarks (tensor kernels, nn
 # training steps, the end-to-end HADFL round) into BENCH_compute.json

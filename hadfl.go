@@ -83,20 +83,25 @@ type Options struct {
 	// with Selected empty and Bypassed zero. It never changes the run's
 	// outcome (excluded from Canonical/Fingerprint).
 	OnRound func(RoundUpdate)
-	// Parallelism bounds how many simulated devices train concurrently
-	// inside each synchronization round, for every scheme (0 =
-	// GOMAXPROCS, 1 = sequential). It is a throughput knob only:
-	// results are byte-identical at every setting, so it is excluded
-	// from Canonical/Fingerprint and two requests differing only in
-	// Parallelism coalesce onto one cached result. Kernel-level
-	// parallelism inside tensor operations is configured separately
-	// via SetComputeParallelism.
+	// Parallelism bounds how many simulated devices compute at once,
+	// for every scheme — inside each synchronization round, during the
+	// warm-up and across asyncfl's device cycles (0 = GOMAXPROCS, 1 =
+	// sequential). It is a throughput knob only: results are
+	// byte-identical at every setting, so it is excluded from
+	// Canonical/Fingerprint and two requests differing only in
+	// Parallelism coalesce onto one cached result. While devices
+	// compute concurrently the tensor kernels under them run serial;
+	// the kernel pool (SetComputeParallelism) serves a model that
+	// computes alone.
 	Parallelism int
 }
 
 // SetComputeParallelism sets the worker count of the shared tensor
 // kernel pool (matrix multiplies, im2col, vector math), which every
 // run in the process shares; 0 or negative resets it to GOMAXPROCS.
+// The pool shards the kernels of a model that computes alone; models
+// computing side by side (see Options.Parallelism) leave it idle. It
+// also caps the evaluator's scoring replicas.
 // Like Options.Parallelism this never changes results, only
 // throughput. Call it at startup, not while runs are in flight.
 func SetComputeParallelism(n int) {

@@ -10,6 +10,7 @@ import (
 	"hadfl/internal/device"
 	"hadfl/internal/p2p"
 	"hadfl/internal/simclock"
+	"hadfl/internal/tensor"
 )
 
 // AsyncFLConfig tunes the centralized asynchronous-FL baseline with
@@ -28,8 +29,6 @@ import (
 //
 // The shared run knobs live in the embedded core.RunConfig; LocalSteps
 // there is the E steps each device trains before pushing (default 12).
-// The run is a single discrete-event simulation, so Parallelism is
-// ignored.
 type AsyncFLConfig struct {
 	core.RunConfig
 	BaseMix        float64 // β base in (0,1]
@@ -57,9 +56,19 @@ func DefaultAsyncFLConfig() AsyncFLConfig {
 // (download time), and immediately starts the next cycle — no barriers,
 // so fast devices update the server more often. There are no rounds to
 // loop over, so it uses core.Loop for the shared state, the budget test
-// and the curve only; a "round" is one server update. A canceled ctx
-// stops scheduling new work within one device step; the engine then
-// drains and Result returns the error.
+// and the curve only; a "round" is one server update.
+//
+// The events stay on one goroutine, in one order, at every Parallelism.
+// What overlaps is the devices' arithmetic: a cycle's virtual charge
+// (the E StepTime draws, which fix the upload's event time) is taken
+// when the cycle starts, its forward/backward work goes to one of
+// Parallelism workers, and the device's upload event joins that work
+// before it reads the model. Nothing else touches a device between its
+// cycle start and its upload, so no bit depends on the overlap.
+//
+// A canceled ctx stops scheduling new work within one device step; the
+// engine then drains — every upload event still joins its device — and
+// Result returns the error after the workers have exited.
 func RunAsyncFL(ctx context.Context, c *core.Cluster, cfg AsyncFLConfig) (*core.Result, error) {
 	if cfg.LocalSteps <= 0 {
 		return nil, fmt.Errorf("baselines: LocalSteps %d", cfg.LocalSteps)
@@ -78,40 +87,68 @@ func RunAsyncFL(ctx context.Context, c *core.Cluster, cfg AsyncFLConfig) (*core.
 	l.Start()
 	paramBytes := 8 * len(l.Global)
 	transfer := cfg.Link.TransferTime(paramBytes)
+	k := len(c.Devices)
 
 	// pulledAt tracks the global version (= server updates so far) each
 	// device last saw.
-	pulledAt := make([]int, len(c.Devices))
+	pulledAt := make([]int, k)
 	// devBuf is the reused per-device parameter gather buffer for the
 	// server merge (events are serialized by the discrete-event engine,
 	// so one buffer suffices).
 	devBuf := make([]float64, len(l.Global))
 
+	// A device has at most one cycle in flight: compute writes its
+	// arithmetic's partial to parts[id] and signals done[id], which the
+	// device's upload event waits on. queue feeds the workers in
+	// cycle-start order. Both are sized to the one cycle per device, so
+	// no send can block.
+	parts := make([]device.Partial, k)
+	done := make([]chan struct{}, k)
+	for id := range done {
+		done[id] = make(chan struct{}, 1)
+	}
+	compute := func(id int) {
+		parts[id] = c.Device(id).ComputeN(ctx, cfg.LocalSteps)
+		done[id] <- struct{}{}
+	}
+	// With one worker the event loop computes each cycle as it starts —
+	// a model alone, free to shard its kernels; with more it only
+	// queues them.
+	queue := make(chan int, k)
+	start, goroutines := compute, 1
+	if workers := min(cfg.Workers(), k); workers > 1 {
+		start = func(id int) { queue <- id }
+		goroutines += workers
+	}
+
 	var cycle func(d *device.Device)
 	cycle = func(d *device.Device) {
-		p := d.TrainN(ctx, cfg.LocalSteps)
 		if l.Err() != nil {
-			return // canceled mid-training: abandon the push
+			return
 		}
-		l.Steps += p.Steps
+		id := d.Cfg.ID
+		elapsed := d.ChargeN(cfg.LocalSteps)
+		l.Steps += cfg.LocalSteps
+		start(id)
 		// Train, then upload: the merge lands after compute + transfer.
-		engine.Schedule(simclock.Time(p.Elapsed+transfer), func() {
+		engine.Schedule(simclock.Time(elapsed+transfer), func() {
+			<-done[id]
 			if l.Err() != nil {
-				return
+				return // canceled mid-training: abandon the push
 			}
-			staleness := max(l.Rounds-pulledAt[d.Cfg.ID], 0)
+			staleness := max(l.Rounds-pulledAt[id], 0)
 			beta := cfg.BaseMix * math.Pow(float64(staleness+1), -cfg.StalenessPower)
 			// MergeInto computes beta·dev + (1−beta)·global.
 			aggregate.MergeInto(l.Global, l.Global, d.ParametersInto(devBuf), beta)
 			l.Rounds++
 			// Up + down through the server.
-			l.Comm.DeviceBytes[d.Cfg.ID] += int64(paramBytes)
+			l.Comm.DeviceBytes[id] += int64(paramBytes)
 			l.Comm.ServerBytes += int64(2 * paramBytes)
 			l.Comm.Rounds = l.Rounds
 
 			l.Now = float64(engine.Now())
 			if l.Rounds%cfg.EvalEvery == 0 {
-				l.Record(p.MeanLoss(), core.RoundInfo{})
+				l.Record(parts[id].MeanLoss(), core.RoundInfo{})
 			}
 			if !l.Next(cfg.MaxUpdates) {
 				return
@@ -122,18 +159,24 @@ func RunAsyncFL(ctx context.Context, c *core.Cluster, cfg AsyncFLConfig) (*core.
 					return
 				}
 				d.SetParameters(l.Global)
-				pulledAt[d.Cfg.ID] = l.Rounds
+				pulledAt[id] = l.Rounds
 				cycle(d)
 			})
 		})
 	}
-	for _, d := range c.Devices {
-		if l.Err() != nil {
-			break
+	tensor.Concurrently(goroutines, func(w int) {
+		if w > 0 {
+			for id := range queue {
+				compute(id)
+			}
+			return
 		}
-		cycle(d)
-	}
-	engine.Run(0)
+		defer close(queue)
+		for _, d := range c.Devices {
+			cycle(d)
+		}
+		engine.Run(0)
+	})
 	l.Now = float64(engine.Now())
 	l.RecordFinal()
 	return l.Result()

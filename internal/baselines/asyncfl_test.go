@@ -2,7 +2,11 @@ package baselines
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
+
+	"hadfl/internal/core"
 )
 
 func TestAsyncFLConverges(t *testing.T) {
@@ -113,5 +117,42 @@ func TestAsyncFLStalenessWeighting(t *testing.T) {
 	weighted := run(1.0)
 	if uniform < 0.5 || weighted < 0.5 {
 		t.Fatalf("accuracy collapsed: uniform %.2f weighted %.2f", uniform, weighted)
+	}
+}
+
+// Canceling mid-run surfaces ctx.Err() and leaves nothing behind: every
+// in-flight cycle is joined and the compute workers have exited by the
+// time RunAsyncFL returns. make test-race runs this under the race
+// detector, which checks the hand-off of each device between the event
+// loop and its worker.
+func TestAsyncFLCancelJoinsWorkers(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		c := testCluster(t, 16)
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := DefaultAsyncFLConfig()
+		cfg.TargetEpochs = 1e6 // only the cancel ends this run
+		cfg.Parallelism = par
+		updates := 0
+		cfg.OnRound = func(core.RoundInfo) {
+			if updates++; updates == 3 {
+				cancel()
+			}
+		}
+		res, err := RunAsyncFL(ctx, c, cfg)
+		cancel()
+		if res != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("Parallelism %d: RunAsyncFL = %v, %v; want context.Canceled", par, res, err)
+		}
+		// A joined worker has called Done but may not have left the
+		// scheduler yet; yield until it has.
+		after := runtime.NumGoroutine()
+		for i := 0; after > before && i < 1000; i++ {
+			runtime.Gosched()
+			after = runtime.NumGoroutine()
+		}
+		if after > before {
+			t.Fatalf("Parallelism %d: %d goroutines before the run, %d after", par, before, after)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package core
 
+import "runtime"
+
 // RunConfig is the scheme-independent slice of a training run's
 // configuration — the fields every scheme (HADFL, the synchronous
 // baselines, asyncfl) interprets the same way. Scheme configs embed it,
@@ -12,9 +14,10 @@ type RunConfig struct {
 	// Seed drives every random choice in the run (selection, rings,
 	// data order); runs are deterministic given their seed.
 	Seed int64
-	// Parallelism bounds how many simulated devices train concurrently
-	// inside each synchronization phase (0 = GOMAXPROCS, 1 =
-	// sequential). It is a throughput knob only: per-device partials
+	// Parallelism bounds how many simulated devices compute at once,
+	// for every scheme — inside each synchronization phase, during
+	// warm-up, and across asyncfl's overlapping cycles (0 = GOMAXPROCS,
+	// 1 = sequential). It is a throughput knob only: per-device partials
 	// join in a deterministic device order, so results are
 	// byte-identical at every setting.
 	Parallelism int
@@ -38,6 +41,14 @@ type RunConfig struct {
 	// interval (distributed) or EvalEvery server updates (asyncfl). It
 	// observes the run but never changes its outcome.
 	OnRound func(RoundInfo)
+}
+
+// Workers resolves Parallelism to a device count.
+func (c RunConfig) Workers() int {
+	if c.Parallelism <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Parallelism
 }
 
 // Apply overlays the set fields of o onto c: zero values in o keep c's

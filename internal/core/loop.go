@@ -3,13 +3,13 @@ package core
 import (
 	"context"
 	"math/rand"
-	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"hadfl/internal/aggregate"
 	"hadfl/internal/device"
 	"hadfl/internal/metrics"
 	"hadfl/internal/p2p"
+	"hadfl/internal/tensor"
 )
 
 // Loop is the round loop every scheme shares: the virtual clock and
@@ -20,9 +20,9 @@ import (
 // Record, ending in return l.Result(). Three contracts live here and
 // nowhere else:
 //
-//   - Cancellation. ctx is checked at every round boundary (Next), after
-//     every training join (Train) and after every warm-up device
-//     (WarmUp); the device step loops check it before each step. The
+//   - Cancellation. ctx is checked at every round boundary (Next) and
+//     after every training join (Train — warm-up is one such join); the
+//     device step loops check it before each step. The
 //     first error sticks: every later Next and Train reports false and
 //     Result returns the error instead of a result, so a canceled run
 //     stops within about one device step and partial state never
@@ -32,7 +32,9 @@ import (
 //     loader, RNG), so Train may run them concurrently; their partials
 //     are combined only after the join, in device order, which keeps
 //     every float reduction — and so every curve — byte-identical at
-//     every Parallelism.
+//     every Parallelism. Concurrent devices are the one level of
+//     parallelism: while they run, the kernels under them are serial
+//     (tensor.Concurrently); only a model computing alone shards.
 //   - The curve. A point is (epochs processed so far, virtual clock,
 //     the scheme's training loss for the interval, test accuracy of
 //     Global), appended by Record, which is also the only place OnRound
@@ -114,20 +116,23 @@ func (l *Loop) Err() error {
 
 // WarmUp runs the mutual-negotiation phase (paper §III-B, workflow
 // steps 2–3): every device trains epochs epochs at a reduced learning
-// rate and each hands the device's measured calculation time to the
-// scheme. Devices warm up in parallel in virtual time, so the clock
-// advances by the slowest. The warm-up models are then averaged so
-// everyone starts aligned (Alg. 1 line 1), and the run Starts.
+// rate — one Train over all devices — and then each, in device order,
+// hands the device's measured calculation time to the scheme. Devices
+// warm up in parallel in virtual time too, so the clock advances by the
+// slowest. The warm-up models are then averaged so everyone starts
+// aligned (Alg. 1 line 1), and the run Starts. A canceled warm-up calls
+// each on no device.
 func (l *Loop) WarmUp(epochs int, lrScale float64, each func(d *device.Device, calc float64) error) {
+	parts, ok := l.Train(l.All, func(d *device.Device) device.Partial {
+		return d.WarmupCtx(l.ctx, epochs, lrScale)
+	})
+	if !ok {
+		return // Result surfaces the abort
+	}
 	end := 0.0
-	for _, d := range l.C.Devices {
-		calc := d.WarmupCtx(l.ctx, epochs, lrScale)
-		if l.Err() != nil {
-			return // partial warm-up: abandon calc, Result surfaces the abort
-		}
-		l.Steps += epochs * d.Loader.BatchesPerEpoch()
-		end = max(end, calc)
-		if l.err = each(d, calc); l.err != nil {
+	for i, d := range l.C.Devices {
+		end = max(end, parts[i].Elapsed)
+		if l.err = each(d, parts[i].Elapsed); l.err != nil {
 			return
 		}
 	}
@@ -157,36 +162,28 @@ func (l *Loop) Next(maxRounds int) bool {
 }
 
 // Train runs fn on each listed device — at most Parallelism at a time
-// (0 = GOMAXPROCS) — and joins. fn must touch only its device's state
-// and per-device slots. The partials come back in ids order, valid
-// until the next Train, with their steps already added to Steps; ok is
-// false when the run was canceled, in which case the partials are
-// abandoned and the scheme must stop.
+// (0 = GOMAXPROCS), started in ids order — and joins. fn must touch only
+// its device's state and per-device slots. The partials come back in
+// ids order, valid until the next Train, with their steps already added
+// to Steps; ok is false when the run was canceled, in which case the
+// partials are abandoned and the scheme must stop.
 func (l *Loop) Train(ids []int, fn func(d *device.Device) device.Partial) (parts []device.Partial, ok bool) {
 	parts = l.parts[:len(ids)]
-	par := l.cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par == 1 || len(ids) <= 1 {
+	if workers := min(l.cfg.Workers(), len(ids)); workers <= 1 {
 		for i, id := range ids {
 			parts[i] = fn(l.C.Device(id))
 		}
 	} else {
-		sem := make(chan struct{}, par)
-		var wg sync.WaitGroup
-		for i, id := range ids {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, d *device.Device) {
-				defer func() {
-					<-sem
-					wg.Done()
-				}()
-				parts[i] = fn(d)
-			}(i, l.C.Device(id))
-		}
-		wg.Wait()
+		var next atomic.Int64
+		tensor.Concurrently(workers, func(int) {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(ids) {
+					return
+				}
+				parts[i] = fn(l.C.Device(ids[i]))
+			}
+		})
 	}
 	if l.Err() != nil {
 		return nil, false

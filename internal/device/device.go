@@ -108,6 +108,14 @@ func jitterFactor(rng *rand.Rand, sigma float64) float64 {
 // TrainStep performs one local SGD step (Alg. 1 lines 15–19) and returns
 // the training loss and the virtual time the step took.
 func (d *Device) TrainStep() (loss float64, elapsed float64) {
+	loss = d.compute()
+	return loss, d.charge()
+}
+
+// compute is the arithmetic half of a step: forward, backward and the
+// optimizer update on the next mini-batch. It touches only the model,
+// the optimizer, the loader and the version counters.
+func (d *Device) compute() (loss float64) {
 	if d.Schedule != nil {
 		nn.ApplySchedule(d.Opt, d.Schedule, d.Version)
 	}
@@ -119,9 +127,17 @@ func (d *Device) TrainStep() (loss float64, elapsed float64) {
 	d.Opt.Step(d.Model)
 	d.Version++
 	d.StepsSinceSync++
+	return loss
+}
+
+// charge is the virtual half of a step: one StepTime draw, added to
+// ComputeTime. It touches only the device RNG and the clock fields, so
+// the two halves of a run of steps may be taken apart (ChargeN,
+// ComputeN) without moving a bit of either.
+func (d *Device) charge() (elapsed float64) {
 	elapsed = d.StepTime()
 	d.ComputeTime += elapsed
-	return loss, elapsed
+	return elapsed
 }
 
 // Partial is one device's share of a training phase. Schemes combine
@@ -160,6 +176,29 @@ func (p *Partial) step(d *Device) {
 	p.Elapsed += e
 }
 
+// ChargeN draws the virtual duration of the next n steps ahead of their
+// arithmetic, so an event-driven scheme knows when the steps end before
+// it runs them. ComputeN(ctx, n) must follow before the device is used
+// otherwise; together they are TrainN(ctx, n).
+func (d *Device) ChargeN(n int) (elapsed float64) {
+	for i := 0; i < n; i++ {
+		elapsed += d.charge()
+	}
+	return elapsed
+}
+
+// ComputeN runs the arithmetic of the n steps ChargeN charged and
+// returns their Steps and LossSum. It may run on another goroutine
+// than ChargeN's as long as nothing else touches the device meanwhile.
+// Cancellation behaves as in TrainN.
+func (d *Device) ComputeN(ctx context.Context, n int) (p Partial) {
+	for p.Steps < n && ctx.Err() == nil {
+		p.LossSum += d.compute()
+		p.Steps++
+	}
+	return p
+}
+
 // FillPeriod runs local steps until the next one would overrun period
 // virtual seconds (Alg. 1 lines 13–19): at least one step, at most
 // maxSteps. Cancellation behaves as in TrainN. StepTime draws from the
@@ -184,13 +223,13 @@ func (d *Device) EpochTime() float64 {
 }
 
 // WarmupCtx runs the mutual-negotiation phase (paper §III-B): epochs
-// of training at a reduced learning rate, returning the measured total
-// calculation time T_i. The learning-rate reduction stabilizes the
-// model before full training. A canceled ctx stops the step loop
-// within one device step; the caller must then discard the partial
-// calcTime and surface ctx.Err() — the checks never change an
-// uncancelled warmup.
-func (d *Device) WarmupCtx(ctx context.Context, epochs int, lrScale float64) (calcTime float64) {
+// of training at a reduced learning rate, returning the partial it ran;
+// Elapsed is the measured total calculation time T_i. The learning-rate
+// reduction stabilizes the model before full training. A canceled ctx
+// stops the step loop within one device step; the caller must then
+// discard the truncated partial and surface ctx.Err() — the checks
+// never change an uncancelled warmup.
+func (d *Device) WarmupCtx(ctx context.Context, epochs int, lrScale float64) Partial {
 	if epochs <= 0 {
 		panic(fmt.Sprintf("device: Warmup(%d)", epochs))
 	}
@@ -198,14 +237,11 @@ func (d *Device) WarmupCtx(ctx context.Context, epochs int, lrScale float64) (ca
 	origSchedule := d.Schedule
 	d.Schedule = nil // the warm-up rate overrides any schedule
 	d.Opt.LR = origLR * lrScale
-	steps := epochs * d.Loader.BatchesPerEpoch()
-	if steps < 1 {
-		steps = epochs
-	}
-	calcTime = d.TrainN(ctx, steps).Elapsed
+	// NewLoader clamps the batch to the shard, so an epoch is ≥ 1 step.
+	p := d.TrainN(ctx, epochs*d.Loader.BatchesPerEpoch())
 	d.Opt.LR = origLR
 	d.Schedule = origSchedule
-	return calcTime
+	return p
 }
 
 // Parameters exposes the local model's flat parameter vector.

@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hadfl/internal/dataset"
 	"hadfl/internal/nn"
+	"hadfl/internal/tensor"
 )
 
 func newTestDevice(t *testing.T, cfg Config) *Device {
@@ -63,21 +65,21 @@ func TestTrainStepsLearns(t *testing.T) {
 func TestWarmupRestoresLR(t *testing.T) {
 	d := newTestDevice(t, Config{ID: 0, Power: 2, BaseStepTime: 1})
 	lr := d.Opt.LR
-	calc := d.WarmupCtx(context.Background(), 1, 0.1)
+	p := d.WarmupCtx(context.Background(), 1, 0.1)
 	if d.Opt.LR != lr {
 		t.Fatalf("LR after warmup %v, want %v", d.Opt.LR, lr)
 	}
 	// 1 epoch = 10 batches at 0.5s each.
-	if math.Abs(calc-5) > 1e-9 {
-		t.Fatalf("warmup calc time %v, want 5", calc)
+	if p.Steps != 10 || math.Abs(p.Elapsed-5) > 1e-9 {
+		t.Fatalf("warmup ran %d steps in %v, want 10 in 5", p.Steps, p.Elapsed)
 	}
 }
 
 func TestWarmupTimeReflectsPower(t *testing.T) {
 	fast := newTestDevice(t, Config{ID: 0, Power: 4, BaseStepTime: 1})
 	slow := newTestDevice(t, Config{ID: 1, Power: 1, BaseStepTime: 1})
-	tf := fast.WarmupCtx(context.Background(), 1, 0.1)
-	ts := slow.WarmupCtx(context.Background(), 1, 0.1)
+	tf := fast.WarmupCtx(context.Background(), 1, 0.1).Elapsed
+	ts := slow.WarmupCtx(context.Background(), 1, 0.1).Elapsed
 	if math.Abs(ts/tf-4) > 1e-9 {
 		t.Fatalf("warmup ratio %v, want 4 (power 4:1)", ts/tf)
 	}
@@ -159,5 +161,66 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			New(cfg, model, opt, loader, rng)
 		}()
+	}
+}
+
+// Under concurrent devices (tensor.Concurrently — what Loop.Train and
+// asyncfl hold) a steady-state step never wakes the kernel pool, so it
+// allocates nothing even with the pool at full width. The MLP is sized
+// so that its products would shard outside the region.
+func TestTrainStepZeroAllocUnderConcurrentDevices(t *testing.T) {
+	prev := tensor.Parallelism()
+	tensor.SetParallelism(max(2, runtime.GOMAXPROCS(0)))
+	defer tensor.SetParallelism(prev)
+
+	rng := rand.New(rand.NewSource(42))
+	ds := dataset.Synthetic(dataset.SyntheticConfig{
+		Samples: 256, Features: 32, Classes: 10, ModesPerClass: 1, NoiseStd: 0.3, Seed: 1,
+	})
+	d := New(Config{ID: 0, Power: 1, BaseStepTime: 1}, nn.NewResMLP(rng, 32, 32, 2, 10),
+		nn.NewSGD(0.05, 0.9, 1e-4), dataset.NewLoader(ds, 64, rand.New(rand.NewSource(2))), nil)
+	step := func() { d.TrainStep() }
+	for i := 0; i < 3; i++ { // warm up layer buffers, optimizer state
+		step()
+	}
+	if alone := testing.AllocsPerRun(10, step); alone == 0 {
+		t.Fatal("a lone step did not shard: the model is too small for this guard")
+	}
+	tensor.Concurrently(2, func(w int) {
+		if w != 0 {
+			return
+		}
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			t.Errorf("step under concurrent devices allocates %.1f times, want 0", allocs)
+		}
+	})
+}
+
+// A run of steps taken apart — all the virtual charges first, then all
+// the arithmetic — is the same run: asyncfl relies on it to know a
+// cycle's end time before computing it.
+func TestChargeThenComputeIsTrainN(t *testing.T) {
+	cfg := Config{ID: 0, Power: 2, BaseStepTime: 1, Jitter: 0.3}
+	whole, split := newTestDevice(t, cfg), newTestDevice(t, cfg)
+	ctx := context.Background()
+	for cycle := 0; cycle < 3; cycle++ {
+		want := whole.TrainN(ctx, 7)
+		elapsed := split.ChargeN(7)
+		got := split.ComputeN(ctx, 7)
+		got.Elapsed = elapsed
+		if got != want {
+			t.Fatalf("cycle %d: split partial %+v, TrainN %+v", cycle, got, want)
+		}
+	}
+	if split.ComputeTime != whole.ComputeTime || split.Version != whole.Version ||
+		split.StepsSinceSync != whole.StepsSinceSync {
+		t.Fatalf("counters differ: %v/%d/%d vs %v/%d/%d", split.ComputeTime, split.Version,
+			split.StepsSinceSync, whole.ComputeTime, whole.Version, whole.StepsSinceSync)
+	}
+	wp, sp := whole.Parameters(), split.Parameters()
+	for i := range wp {
+		if math.Float64bits(wp[i]) != math.Float64bits(sp[i]) {
+			t.Fatalf("parameter %d differs: %v vs %v", i, sp[i], wp[i])
+		}
 	}
 }

@@ -4,14 +4,14 @@
 // together (the training side of this contract is nn's fused
 // SoftmaxCrossEntropyEvalInto kernel).
 //
-// Parallelism. Batch-level sharding runs on the engine's own bounded
-// goroutines — one per scoring replica, capped by tensor.Parallelism()
-// — while each batch's forward pass runs on the shared tensor worker
-// pool as usual. The engine deliberately does not submit its shard
-// bodies to that pool: pool tasks must be leaves (a shard body waits
-// on the nested kernel dispatches of a whole forward pass, and pool
-// workers blocked in such waits can starve the very kernel tasks they
-// are waiting for).
+// Parallelism. There is one level of it at a time. With several full
+// batches the engine shards them over scoring replicas — one goroutine
+// each (tensor.Concurrently), capped by tensor.Parallelism() — and the
+// kernels under every replica run serial for the duration: the replicas
+// own the cores. A pass confined to one replica (a single batch, no
+// factory, the trailing partial batch) is a model computing alone, and
+// its kernels shard over the tensor pool as usual. The engine never
+// submits its shard bodies to that pool: pool tasks must be leaves.
 //
 // Determinism contract. However scoring is sharded, every quantity the
 // engine reports is bit-identical at every parallelism level and every
@@ -34,8 +34,8 @@
 // pass in, which is read, never retained. In steady state — same
 // dataset, same batch size — an evaluation performs zero heap
 // allocations on the serial kernel path (tensor.Parallelism() == 1);
-// parallel dispatch spends a few words on goroutine coordination, as
-// the tensor kernels do.
+// replica dispatch and sharded kernels spend a few words on goroutine
+// coordination.
 //
 // An Evaluator is not safe for concurrent use: it reuses its buffers
 // across calls, so evaluations must be serialized by the caller (the
@@ -45,7 +45,6 @@ package eval
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -186,7 +185,8 @@ func (e *Evaluator) Evaluate(params []float64) (loss, acc float64) {
 // EvaluateInto scores params into res: one forward pass per batch
 // produces loss and accuracy together. Full-size batches shard across
 // at most tensor.Parallelism() scoring replicas, each owned by one
-// goroutine pulling batch indices from a shared counter; the trailing
+// goroutine pulling batch indices from a shared counter, with serial
+// kernels under them (see the package comment); the trailing
 // partial batch, if any, is scored on its own replica so the
 // full-batch replicas keep stable buffer shapes. Results are
 // bit-identical at every parallelism level and batch size.
@@ -215,7 +215,8 @@ func (e *Evaluator) EvaluateInto(res *Result, params []float64) {
 		}
 	} else {
 		var next atomic.Int64
-		work := func(r *replica) {
+		tensor.Concurrently(p, func(w int) {
+			r := e.replicas[w]
 			for {
 				b := int(next.Add(1)) - 1
 				if b >= e.fullBatches {
@@ -223,17 +224,7 @@ func (e *Evaluator) EvaluateInto(res *Result, params []float64) {
 				}
 				e.scoreBatch(r, b)
 			}
-		}
-		var wg sync.WaitGroup
-		for _, r := range e.replicas[1:p] {
-			wg.Add(1)
-			go func(r *replica) {
-				defer wg.Done()
-				work(r)
-			}(r)
-		}
-		work(e.replicas[0])
-		wg.Wait()
+		})
 	}
 	if e.remSize > 0 {
 		e.scoreBatch(e.remainderReplica(params), e.fullBatches)

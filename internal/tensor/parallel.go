@@ -56,6 +56,10 @@ var (
 	parallelism atomic.Int64
 	activePool  atomic.Pointer[kernelPool]
 	parMu       sync.Mutex
+	// regions counts the Concurrently calls in flight. While it is
+	// non-zero whole models compute side by side and already own the
+	// cores, so every kernel runs on its caller alone.
+	regions atomic.Int32
 )
 
 func init() {
@@ -98,17 +102,55 @@ func SetParallelism(n int) {
 // Parallelism returns the current kernel executor count.
 func Parallelism() int { return int(parallelism.Load()) }
 
+// Concurrently runs work(0) … work(n-1) side by side — work(0) on the
+// caller, the rest on their own goroutines — and returns when all have.
+// It is the one level of parallelism above the kernels: callers give
+// each worker a whole model to compute (a device, a scoring replica),
+// and for the duration every kernel in the process takes its serial,
+// allocation-free path instead of waking the pool, so n models never
+// contend with n·Parallelism() shards for the same cores. Bits do not
+// depend on it. A model that computes alone stays outside and shards
+// as usual; n ≤ 1 is just work(0).
+func Concurrently(n int, work func(w int)) {
+	if n <= 1 {
+		work(0)
+		return
+	}
+	regions.Add(1)
+	defer regions.Add(-1)
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for w := 1; w < n; w++ {
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	work(0)
+	wg.Wait()
+}
+
+// poolIdle reports whether kernels must run on their caller alone:
+// parallelism is off, or models are computing side by side.
+func poolIdle() bool {
+	return Parallelism() <= 1 || regions.Load() != 0
+}
+
 // parallelFor runs fn over [0, n) split into chunks of the given grain.
 // Chunk boundaries depend only on n and grain — never on the worker
 // count — so any reduction that combines per-chunk partials in chunk
 // order is deterministic across parallelism levels. fn shards must
 // write disjoint state.
+//
+// Callers take their closure-free serial path first (runSerial,
+// vecSerial), but models may start computing side by side between that
+// check and this call. The caller then walks the chunks alone — the
+// same chunks, so no bit depends on who won that race.
 func parallelFor(n, grain int, fn func(lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	p := Parallelism()
-	if p <= 1 || n <= grain {
+	if n <= grain {
 		fn(0, n)
 		return
 	}
@@ -128,12 +170,12 @@ func parallelFor(n, grain int, fn func(lo, hi int)) {
 			fn(lo, hi)
 		}
 	}
-	helpers := p - 1
-	if helpers > chunks-1 {
-		helpers = chunks - 1
-	}
 	var wg sync.WaitGroup
-	if pool := activePool.Load(); pool != nil {
+	if pool := activePool.Load(); pool != nil && regions.Load() == 0 {
+		helpers := Parallelism() - 1
+		if helpers > chunks-1 {
+			helpers = chunks - 1
+		}
 		for i := 0; i < helpers; i++ {
 			wg.Add(1)
 			if !pool.trySubmit(func() { defer wg.Done(); body() }) {
@@ -174,10 +216,11 @@ func rowGrain(rows, flopsPerRow int) int {
 }
 
 // runSerial reports whether a kernel with the given total flop count
-// should run on the caller alone: parallelism is off, or the work is
-// too small to be worth sharding. Kernels check this *before* building
+// should run on the caller alone: parallelism is off, models are
+// computing side by side (Concurrently), or the work is too small to be
+// worth sharding. Kernels check this *before* building
 // their dispatch closure so the serial path allocates nothing.
 func runSerial(totalFlops int) bool {
 	const minParFlops = 1 << 15
-	return Parallelism() <= 1 || totalFlops < minParFlops
+	return poolIdle() || totalFlops < minParFlops
 }

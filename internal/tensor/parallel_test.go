@@ -3,6 +3,10 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -234,4 +238,84 @@ func TestSetParallelismClamps(t *testing.T) {
 	if Parallelism() != 6 {
 		t.Fatalf("Parallelism() = %d, want 6", Parallelism())
 	}
+}
+
+// Concurrently is the one level of parallelism above the kernels: every
+// worker runs, and the kernels under them stay off the pool. The serial
+// path is the one that allocates nothing, so allocations tell the two
+// paths apart without a hook in the kernels.
+func TestConcurrentlyKeepsKernelsSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	a := RandNormal(rng, 0, 1, 67, 129)
+	b := RandNormal(rng, 0, 1, 129, 83)
+	dst := New(67, 83)
+	x := make([]float64, 3*vecGrain+517)
+	y := RandNormal(rng, 0, 1, len(x)).Data()
+	kernels := func() {
+		MatMulInto(dst, a, b)
+		VecAxpy(x, 0.5, y)
+	}
+	withParallelism(t, 4, func() {
+		kernels()
+		if outside := testing.AllocsPerRun(10, kernels); outside == 0 {
+			t.Fatal("kernels outside a region did not shard at parallelism 4")
+		}
+		sharded := dst.Clone()
+
+		var ran [3]atomic.Bool
+		inside := -1.0
+		Concurrently(len(ran), func(w int) {
+			ran[w].Store(true)
+			if w == 0 {
+				inside = testing.AllocsPerRun(10, kernels)
+			}
+		})
+		for w := range ran {
+			if !ran[w].Load() {
+				t.Fatalf("worker %d did not run", w)
+			}
+		}
+		if inside != 0 {
+			t.Fatalf("kernels inside a region allocated %.1f times per call, want the serial path's 0", inside)
+		}
+		if !bitsEqual(sharded, dst) {
+			t.Fatal("MatMulInto differs between the sharded and the in-region serial path")
+		}
+		if regions.Load() != 0 {
+			t.Fatalf("region count %d after the join", regions.Load())
+		}
+		if again := testing.AllocsPerRun(10, kernels); again == 0 {
+			t.Fatal("kernels did not shard again after the region ended")
+		}
+	})
+}
+
+// A kernel that passed its serial check just before models started
+// computing side by side reaches parallelFor inside the region. It must
+// then walk the same chunks alone: vecReduce sums per-chunk partials,
+// so one big chunk would move its bits.
+func TestParallelForKeepsChunksInsideRegion(t *testing.T) {
+	withParallelism(t, 4, func() {
+		const n, grain = 3*64 + 5, 64
+		chunked := func() (bounds [][2]int) {
+			var mu sync.Mutex
+			parallelFor(n, grain, func(lo, hi int) {
+				mu.Lock()
+				bounds = append(bounds, [2]int{lo, hi})
+				mu.Unlock()
+			})
+			sort.Slice(bounds, func(i, j int) bool { return bounds[i][0] < bounds[j][0] })
+			return bounds
+		}
+		outside := chunked()
+		var inside [][2]int
+		Concurrently(2, func(w int) {
+			if w == 0 {
+				inside = chunked()
+			}
+		})
+		if len(outside) != 4 || !reflect.DeepEqual(inside, outside) {
+			t.Fatalf("chunks inside a region %v, outside %v; want the same four", inside, outside)
+		}
+	})
 }

@@ -26,7 +26,7 @@ const vecGrain = 4096
 
 // vecSerial reports whether a vector op of length n should run inline.
 func vecSerial(n int) bool {
-	return Parallelism() <= 1 || n <= vecGrain
+	return poolIdle() || n <= vecGrain
 }
 
 func vecCheck(op string, dst, src []float64) {
