@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check ci cover fmt fmt-check lint vet build test test-short test-race test-race-short alloc-guard fuzz-short e2e-dispatch loadgen-smoke bench-module-test loc bench bench-json bench-eval bench-dispatch bench-wire bench-serve serve
+.PHONY: check ci cover fmt fmt-check lint vet build test test-short test-race test-race-short alloc-guard fuzz-short e2e-dispatch bench-smoke bench-module-test loc bench serve
 
 check: fmt-check vet lint build test-short
 
@@ -10,9 +10,10 @@ check: fmt-check vet lint build test-short
 # allocation guards (the zero-alloc kernels and train/eval steps, the
 # device step under concurrent devices, plus the whole-run allocation
 # budgets), the wire-codec fuzz smoke, the
-# dispatch e2e suite under -race, the benchmark module's own vet and
-# unit tests, and the coverage report with its floor.
-ci: fmt-check vet lint test-short test-race-short alloc-guard fuzz-short e2e-dispatch loadgen-smoke bench-module-test cover
+# dispatch e2e suite under -race, the benchmark's end-to-end smoke over
+# the real binaries, the benchmark module's own vet and unit tests, and
+# the coverage report with its floor.
+ci: fmt-check vet lint test-short test-race-short alloc-guard fuzz-short e2e-dispatch bench-smoke bench-module-test cover
 
 # lint runs hadfl-lint, the repo's own analyzer suite (internal/lint):
 # detmap, walltime, poolleaf, metriccatalog, ctxbg — the determinism,
@@ -62,18 +63,20 @@ alloc-guard:
 	$(GO) test -run 'ZeroAlloc' ./internal/tensor ./internal/nn ./internal/device ./internal/eval ./internal/serve
 	$(GO) test -run 'TestRunAllocationBudget' .
 
-# loadgen-smoke is the serving-layer acceptance gate inside make ci: a
-# ~2s in-process hadfl-loadgen run (self-hosted synthetic server) that
-# fails on any harness-level error or missing request class. The full
-# snapshot is `make bench-serve`.
-loadgen-smoke:
-	$(GO) run ./cmd/hadfl-loadgen -duration 2s -concurrency 16 -corpus 8 \
-		-run-cost 500us -curve-points 8 -fail-on-errors -out /dev/null
+# bench-smoke is the end-to-end gate inside make ci: the benchmark
+# module's TestQuickSmoke builds the real hadfl-serve and hadfl-worker
+# binaries, runs all four BENCHMARK.json workloads plus a traced run on
+# a short budget, and fails unless every workload is correct with 0
+# failed operations, 0 golden mismatches, and the traced dispatch run's
+# per-layer timings reconcile with its end-to-end ones. The full
+# measurement is `bash benchmark/run.sh` (see benchmark/README.md).
+bench-smoke:
+	$(GO) test -C benchmark -run TestQuickSmoke -count=1 ./...
 
 # bench-module-test gates the nested benchmark module (benchmark/ has
 # its own go.mod, so the root ./... never reaches it): vet plus its
 # unit tests. -short skips its smoke run of all four workloads; that
-# is `go test -C benchmark ./...`.
+# is bench-smoke.
 bench-module-test:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark -short ./...
@@ -124,64 +127,6 @@ test-race:
 test-race-short:
 	$(GO) test -race -short -run 'TestParallelDeterminism|TestGoldenRuns|TestRunContext|TestCompareContext' .
 	$(GO) test -race -short ./internal/tensor ./internal/device ./internal/eval ./internal/core ./internal/baselines ./internal/serve
-
-# bench-json snapshots the compute-core benchmarks (tensor kernels, nn
-# training steps, the end-to-end HADFL round) into BENCH_compute.json
-# so the perf trajectory is recorded; diff it across PRs.
-# Each step is its own recipe line so any bench failure aborts before
-# the old snapshot is replaced.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/tensor ./internal/nn > BENCH_compute.txt.tmp
-	$(GO) test -run '^$$' -bench 'BenchmarkHADFLRound' -benchtime 3x -benchmem . >> BENCH_compute.txt.tmp
-	$(GO) run ./cmd/hadfl-benchjson < BENCH_compute.txt.tmp > BENCH_compute.json.tmp
-	rm BENCH_compute.txt.tmp
-	mv BENCH_compute.json.tmp BENCH_compute.json
-	@echo wrote BENCH_compute.json
-
-# bench-dispatch snapshots the remote-execution overhead (the same
-# tiny run through the local registry vs the full simnet dispatch
-# round trip) into BENCH_dispatch.json; the gap between the two
-# benchmarks is the protocol's per-job cost.
-bench-dispatch:
-	$(GO) test -run '^$$' -bench 'BenchmarkDispatch' -benchtime 5x -benchmem ./internal/serve/dispatch > BENCH_dispatch.txt.tmp
-	$(GO) run ./cmd/hadfl-benchjson -note 'dispatch-overhead benchmark snapshot (local registry vs simnet dispatch of one tiny run); regenerate with `make bench-dispatch`' < BENCH_dispatch.txt.tmp > BENCH_dispatch.json.tmp
-	rm BENCH_dispatch.txt.tmp
-	mv BENCH_dispatch.json.tmp BENCH_dispatch.json
-	@echo wrote BENCH_dispatch.json
-
-# bench-wire snapshots bytes-on-wire per parameter codec for one
-# reference job (the tiny benchmark run's trained vector, encoded
-# against its initial model) into BENCH_wire.json; the wire-B/raw-B
-# metrics per codec row are the compression trajectory.
-bench-wire:
-	$(GO) test -run '^$$' -bench 'BenchmarkWireCodec' -benchtime 5x -benchmem ./internal/serve/dispatch > BENCH_wire.txt.tmp
-	$(GO) run ./cmd/hadfl-benchjson -note 'wire-codec benchmark snapshot (bytes on the dispatch wire per parameter codec for one tiny reference job); regenerate with `make bench-wire`' < BENCH_wire.txt.tmp > BENCH_wire.json.tmp
-	rm BENCH_wire.txt.tmp
-	mv BENCH_wire.json.tmp BENCH_wire.json
-	@echo wrote BENCH_wire.json
-
-# bench-eval snapshots the evaluation-engine trajectory (engine vs the
-# legacy double-forward path: evals/sec and allocs per evaluation) into
-# BENCH_eval.json; diff it across PRs like BENCH_compute.json.
-bench-eval:
-	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate' -benchmem ./internal/eval > BENCH_eval.txt.tmp
-	$(GO) run ./cmd/hadfl-benchjson -note 'evaluation-engine benchmark snapshot; regenerate with `make bench-eval`' < BENCH_eval.txt.tmp > BENCH_eval.json.tmp
-	rm BENCH_eval.txt.tmp
-	mv BENCH_eval.json.tmp BENCH_eval.json
-	@echo wrote BENCH_eval.json
-
-# bench-serve snapshots the serving layer's traffic-shaped throughput:
-# hadfl-loadgen drives an in-process synthetic hadfl-serve with the
-# default mixed workload (cache hits, fresh runs, coalescing dups,
-# polls, curves, SSE, cancels) and writes per-class latency percentiles
-# + throughput into BENCH_serve.json; diff it across PRs like the other
-# BENCH files. Point it at a live deployment with
-# `go run ./cmd/hadfl-loadgen -addr http://host:8080`.
-bench-serve:
-	$(GO) run ./cmd/hadfl-loadgen -duration 10s -concurrency 64 \
-		-out BENCH_serve.json.tmp
-	mv BENCH_serve.json.tmp BENCH_serve.json
-	@echo wrote BENCH_serve.json
 
 serve:
 	$(GO) run ./cmd/hadfl-serve -addr :8080

@@ -47,26 +47,30 @@ import (
 	"hadfl/internal/tensor"
 )
 
-// Options configures a training run.
+// Options configures a training run. Its JSON form is the one wire form
+// of run options: the serve API's request body, the result store's
+// sidecar files and the dispatch protocol's request frames all encode
+// this struct, so the field order below is also the encoded key order
+// and moving a field changes bytes on the wire.
 type Options struct {
 	// Powers is the computing-power ratio array (device count = len).
 	// Default: [4,2,2,1], the paper's more skewed distribution.
-	Powers []float64
+	Powers []float64 `json:"powers,omitempty"`
 	// Model selects the workload: "resnet" (residual) or "vgg" (plain).
 	// Default "resnet".
-	Model string
+	Model string `json:"model,omitempty"`
 	// Full switches from the fast MLP-based profile to the convolutional
 	// profile (slower, closer to the paper's models).
-	Full bool
+	Full bool `json:"full,omitempty"`
 	// TargetEpochs overrides the workload's epoch budget when > 0.
-	TargetEpochs float64
+	TargetEpochs float64 `json:"targetEpochs,omitempty"`
 	// NonIIDAlpha, when > 0, splits data with a Dirichlet(alpha)
 	// partition instead of IID.
-	NonIIDAlpha float64
-	// FailAt schedules device crashes: id → virtual failure time.
-	FailAt map[int]float64
+	NonIIDAlpha float64 `json:"nonIIDAlpha,omitempty"`
 	// Seed makes runs reproducible. Default 1.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
+	// FailAt schedules device crashes: id → virtual failure time.
+	FailAt map[int]float64 `json:"failAt,omitempty"`
 	// GroupSize and InterEvery shape the hierarchical hadfl-grouped
 	// scheme: the maximum devices per group and the inter-group sync
 	// period in intra-group rounds (§III-C: the inter-group period is an
@@ -75,14 +79,15 @@ type Options struct {
 	// Unlike Parallelism these change the training trajectory, so they
 	// participate in Canonical/Fingerprint — sweeping them from the
 	// serve API yields distinct cached results per setting.
-	GroupSize  int
-	InterEvery int
+	GroupSize  int `json:"groupSize,omitempty"`
+	InterEvery int `json:"interEvery,omitempty"`
 	// OnRound, when non-nil, receives progress after every HADFL
 	// synchronization round. The baseline schemes report through it
 	// too — FedAvg per round, distributed per evaluation interval —
 	// with Selected empty and Bypassed zero. It never changes the run's
-	// outcome (excluded from Canonical/Fingerprint).
-	OnRound func(RoundUpdate)
+	// outcome (excluded from Canonical/Fingerprint) and never crosses a
+	// wire: remote progress flows as events and round frames instead.
+	OnRound func(RoundUpdate) `json:"-"`
 	// Parallelism bounds how many simulated devices compute at once,
 	// for every scheme — inside each synchronization round, during the
 	// warm-up and across asyncfl's device cycles (0 = GOMAXPROCS, 1 =
@@ -93,7 +98,7 @@ type Options struct {
 	// compute concurrently the tensor kernels under them run serial;
 	// the kernel pool (SetComputeParallelism) serves a model that
 	// computes alone.
-	Parallelism int
+	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // SetComputeParallelism sets the worker count of the shared tensor

@@ -9,12 +9,13 @@ import (
 	"hadfl/internal/tensor"
 )
 
-// The eval trajectory, snapshotted by `make bench-eval` into
-// BENCH_eval.json: the engine path versus the legacy path it replaced
+// The eval trajectory: the engine path versus the legacy path it replaced
 // (SetParameters + one forward for the loss + a second full forward
 // inside Model.Accuracy, with fresh loss-gradient and prediction
 // allocations per call). Compare evals/sec and allocs/op between the
-// two to read the before/after.
+// two to read the before/after:
+//
+//	go test -run '^$' -bench BenchmarkEvaluate -benchmem ./internal/eval
 
 const (
 	benchSamples  = 1000

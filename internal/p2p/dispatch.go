@@ -34,10 +34,10 @@ const DispatchVersion = 1
 
 // MaxDispatchBody bounds the body of a single dispatch frame (16 MiB).
 // It is a per-frame (equivalently per-chunk) bound, not a ceiling on a
-// logical body: result bodies routinely run to several megabytes (the
-// reference tiny job in BENCH_dispatch.json ships ≈5.5 MB of JSON), and
-// bodies larger than one frame travel as a chunk stream (see chunk.go),
-// so model size is not capped here. The bound exists so a corrupt
+// logical body: result bodies grow with the model (the tiny reference
+// job's raw64 result is ≈45 KB, BENCHMARK.json's
+// dispatch.wire_bytes_per_job), and bodies larger than one frame travel
+// as a chunk stream (see chunk.go), so model size is not capped here. The bound exists so a corrupt
 // length field in any one frame cannot demand an absurd allocation.
 const MaxDispatchBody = 16 << 20
 

@@ -5,8 +5,10 @@ package dispatch
 // full simnet dispatch round trip (request frame → worker execution →
 // round/result frames). The difference is the protocol's per-job cost:
 // encode/decode, byte-packing and channel hops — there is no socket in
-// the loop. `make bench-dispatch` snapshots both into
-// BENCH_dispatch.json.
+// the loop. BENCHMARK.json tracks the same pair as
+// dispatch.local_run_s and dispatch.simnet_run_s; by hand:
+//
+//	go test -run '^$' -bench BenchmarkDispatch -benchmem ./internal/serve/dispatch
 
 import (
 	"context"
@@ -35,8 +37,7 @@ func BenchmarkDispatchLocal(b *testing.B) {
 // one reference job: the tiny benchmark run's trained parameter vector
 // encoded against its own initial model (the reference both ends of
 // the dispatch wire derive independently). wire-B vs raw-B is what the
-// codec buys; `make bench-wire` snapshots every codec's row into
-// BENCH_wire.json.
+// codec buys (BENCHMARK.json: p2p.codec_wire_ratio.<codec>).
 func BenchmarkWireCodec(b *testing.B) {
 	opts := benchOpts()
 	res, err := localRunner(context.Background(), hadfl.SchemeHADFL, opts, nil)

@@ -772,7 +772,7 @@ func (d *Dispatcher) runOn(ctx context.Context, ws *workerState, fp, scheme stri
 		d.mu.Unlock()
 	}()
 
-	req := requestBody{Proto: proto, Token: d.token, JobID: fp, Scheme: scheme, Options: toWire(opts), Codec: codec}
+	req := requestBody{Proto: proto, Token: d.token, JobID: fp, Scheme: scheme, Options: opts, Codec: codec}
 	span.SetAttr("codec", codec)
 	if sc := span.Context(); sc.Valid() {
 		req.Trace = &wireTrace{TraceID: sc.TraceID, SpanID: sc.SpanID}

@@ -98,56 +98,6 @@ type helloBody struct {
 	Codecs []string `json:"codecs,omitempty"`
 }
 
-// reqOptions is hadfl.Options on the wire, minus the callback field
-// (round telemetry flows back as round frames). It mirrors the serve
-// layer's RunOptions JSON shape but cannot reuse it: serve's in-package
-// tests import this package, so dispatch importing serve would be a
-// test import cycle. TestWireOptionsCoverEveryOptionsField pins the
-// mirror field-for-field (as serve's own guard pins RunOptions), so a
-// new Options field missing here fails at unit-test time.
-type reqOptions struct {
-	Powers       []float64       `json:"powers,omitempty"`
-	Model        string          `json:"model,omitempty"`
-	Full         bool            `json:"full,omitempty"`
-	TargetEpochs float64         `json:"targetEpochs,omitempty"`
-	NonIIDAlpha  float64         `json:"nonIIDAlpha,omitempty"`
-	Seed         int64           `json:"seed,omitempty"`
-	FailAt       map[int]float64 `json:"failAt,omitempty"`
-	GroupSize    int             `json:"groupSize,omitempty"`
-	InterEvery   int             `json:"interEvery,omitempty"`
-	Parallelism  int             `json:"parallelism,omitempty"`
-}
-
-func toWire(o hadfl.Options) reqOptions {
-	return reqOptions{
-		Powers:       o.Powers,
-		Model:        o.Model,
-		Full:         o.Full,
-		TargetEpochs: o.TargetEpochs,
-		NonIIDAlpha:  o.NonIIDAlpha,
-		Seed:         o.Seed,
-		FailAt:       o.FailAt,
-		GroupSize:    o.GroupSize,
-		InterEvery:   o.InterEvery,
-		Parallelism:  o.Parallelism,
-	}
-}
-
-func (o reqOptions) toOptions() hadfl.Options {
-	return hadfl.Options{
-		Powers:       o.Powers,
-		Model:        o.Model,
-		Full:         o.Full,
-		TargetEpochs: o.TargetEpochs,
-		NonIIDAlpha:  o.NonIIDAlpha,
-		Seed:         o.Seed,
-		FailAt:       o.FailAt,
-		GroupSize:    o.GroupSize,
-		InterEvery:   o.InterEvery,
-		Parallelism:  o.Parallelism,
-	}
-}
-
 // requestBody asks a worker to execute one run.
 type requestBody struct {
 	Proto int `json:"proto"`
@@ -163,8 +113,11 @@ type requestBody struct {
 	// The worker applies it as its own context deadline, so a run whose
 	// dispatcher vanishes still stops on schedule (a relative duration
 	// survives clock skew; the cancel frame remains the primary path).
-	DeadlineSec float64    `json:"deadlineSec,omitempty"`
-	Options     reqOptions `json:"options"`
+	DeadlineSec float64 `json:"deadlineSec,omitempty"`
+	// Options is the run's options in their one wire form (hadfl.Options'
+	// JSON tags, the same bytes the serve API accepts); the progress
+	// callback never crosses — round telemetry flows back as round frames.
+	Options hadfl.Options `json:"options"`
 	// Codec names the parameter wire codec the worker should encode the
 	// final parameter vector with (chosen from the worker's advertised
 	// list). Empty means legacy: FinalParams inline in the JSON body, one

@@ -1,17 +1,18 @@
 package dispatch
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
 	"hadfl"
 )
 
-// TestWireOptionsCoverEveryOptionsField is the drift guard for the
-// wire copy of hadfl.Options: it populates every Options field with a
-// non-zero value via reflection and requires toWire → toOptions to
-// round-trip it exactly. The day a new Options field lands without a
-// matching reqOptions field, this fails — at unit-test time, not as a
+// TestWireOptionsCoverEveryOptionsField is the drift guard for options
+// on the dispatch wire: it populates every hadfl.Options field with a
+// non-zero value via reflection and requires a requestBody carrying it
+// to round-trip through JSON exactly. The day a new Options field lands
+// without a wire key, this fails — at unit-test time, not as a
 // fingerprint mismatch rejecting every remote run in production.
 func TestWireOptionsCoverEveryOptionsField(t *testing.T) {
 	var o hadfl.Options
@@ -39,9 +40,16 @@ func TestWireOptionsCoverEveryOptionsField(t *testing.T) {
 			fillScalar(t, name, f, i)
 		}
 	}
-	got := toWire(o).toOptions()
-	if !reflect.DeepEqual(got, o) {
-		t.Fatalf("wire round trip dropped data:\n got %+v\nwant %+v\n(extend reqOptions/toWire/toOptions — and serve.RunOptions — for the new field)", got, o)
+	b, err := json.Marshal(requestBody{Proto: proto, JobID: "x", Scheme: hadfl.SchemeHADFL, Options: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got requestBody
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Options, o) {
+		t.Fatalf("wire round trip dropped data:\n got %+v\nwant %+v\n(give the new Options field a JSON key)", got.Options, o)
 	}
 }
 
@@ -57,6 +65,6 @@ func fillScalar(t *testing.T, name string, f reflect.Value, i int) {
 	case reflect.String:
 		f.SetString(name + "-v")
 	default:
-		t.Fatalf("Options field %s has kind %v this guard cannot populate — extend fillScalar and the wire structs", name, f.Kind())
+		t.Fatalf("Options field %s has kind %v this guard cannot populate — extend fillScalar", name, f.Kind())
 	}
 }

@@ -426,7 +426,7 @@ func TestWorkerDisambiguatesDispatcherInstances(t *testing.T) {
 	}
 	const seq = 1
 	for _, token := range []string{"instance-a", "instance-b"} {
-		req := requestBody{Proto: proto, Token: token, JobID: fp, Scheme: hadfl.SchemeHADFL, Options: toWire(fastOpts(1))}
+		req := requestBody{Proto: proto, Token: token, JobID: fp, Scheme: hadfl.SchemeHADFL, Options: fastOpts(1)}
 		if err := sendFrame(probe, p2p.KindDispatchRequest, worker1ID, seq, req); err != nil {
 			t.Fatal(err)
 		}
@@ -608,10 +608,10 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string]requestBody{
-		"wrong proto":          {Proto: proto + 1, JobID: goodFP, Scheme: hadfl.SchemeHADFL, Options: toWire(fastOpts(1))},
-		"fingerprint mismatch": {Proto: proto, JobID: "deadbeef", Scheme: hadfl.SchemeHADFL, Options: toWire(fastOpts(1))},
-		"unknown scheme":       {Proto: proto, JobID: goodFP, Scheme: "nope", Options: toWire(fastOpts(1))},
-		"invalid options":      {Proto: proto, JobID: goodFP, Scheme: hadfl.SchemeHADFL, Options: reqOptions{Powers: []float64{-4}}},
+		"wrong proto":          {Proto: proto + 1, JobID: goodFP, Scheme: hadfl.SchemeHADFL, Options: fastOpts(1)},
+		"fingerprint mismatch": {Proto: proto, JobID: "deadbeef", Scheme: hadfl.SchemeHADFL, Options: fastOpts(1)},
+		"unknown scheme":       {Proto: proto, JobID: goodFP, Scheme: "nope", Options: fastOpts(1)},
+		"invalid options":      {Proto: proto, JobID: goodFP, Scheme: hadfl.SchemeHADFL, Options: hadfl.Options{Powers: []float64{-4}}},
 	}
 	seq := 100
 	for name, req := range cases {

@@ -326,7 +326,7 @@ func TestWorkerFallsBackToRaw64OnUnknownCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := requestBody{Proto: proto, Token: "tok", JobID: fp, Scheme: hadfl.SchemeHADFL, Options: toWire(opts), Codec: "zstd9000"}
+	req := requestBody{Proto: proto, Token: "tok", JobID: fp, Scheme: hadfl.SchemeHADFL, Options: opts, Codec: "zstd9000"}
 	if err := sendFrame(probe, p2p.KindDispatchRequest, worker1ID, 7, req); err != nil {
 		t.Fatal(err)
 	}

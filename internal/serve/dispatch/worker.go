@@ -260,7 +260,7 @@ func (w *Worker) handleRequest(ctx context.Context, m p2p.Message) {
 		reject(errorBody{Token: req.Token, Message: fmt.Sprintf("dispatch: protocol version %d, worker speaks %d", req.Proto, proto)})
 		return
 	}
-	opts := req.Options.toOptions()
+	opts := req.Options
 	// The request is content-addressed: re-derive the fingerprint so a
 	// canonicalization disagreement (mismatched versions, tampering)
 	// fails loudly here instead of caching a wrong result upstream.

@@ -43,8 +43,8 @@
 // statuses are encoded to wire bytes once and then served verbatim
 // (zero allocations per request, pinned by the alloc-guard), the POST
 // rate limiter is a lock-free GCRA, and the metrics registry is atomic
-// cells behind sync.Map. See DESIGN.md "Load testing and the serving
-// hot path" and cmd/hadfl-loadgen for the measurement harness.
+// cells behind sync.Map. See DESIGN.md "The serving hot path"; the
+// serve_reads workload in BENCHMARK.json is the measurement.
 //
 // # Cache semantics
 //

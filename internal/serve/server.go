@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -235,67 +236,21 @@ func (s *Server) handleSchemes(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"schemes": hadfl.Schemes()})
 }
 
-// RunRequest is the POST /runs body.
+// RunRequest is the POST /runs body. Options decode straight into
+// hadfl.Options, whose JSON tags are the wire form; the progress
+// callback is not part of it (progress flows through /events instead).
+// Parallelism is a throughput hint only — it never changes the run's
+// result and is excluded from the cache fingerprint, so requests
+// differing only there coalesce.
 type RunRequest struct {
-	Scheme  string     `json:"scheme"`
-	Options RunOptions `json:"options"`
+	Scheme  string        `json:"scheme"`
+	Options hadfl.Options `json:"options"`
 }
 
-// RunOptions mirrors hadfl.Options minus the callback field (progress
-// flows through /events instead). Parallelism is a throughput hint
-// only — it never changes the run's result and is excluded from the
-// cache fingerprint, so requests differing only here coalesce.
-type RunOptions struct {
-	Powers       []float64       `json:"powers,omitempty"`
-	Model        string          `json:"model,omitempty"`
-	Full         bool            `json:"full,omitempty"`
-	TargetEpochs float64         `json:"targetEpochs,omitempty"`
-	NonIIDAlpha  float64         `json:"nonIIDAlpha,omitempty"`
-	Seed         int64           `json:"seed,omitempty"`
-	FailAt       map[int]float64 `json:"failAt,omitempty"`
-	// GroupSize / InterEvery sweep the hadfl-grouped hierarchy (0 =
-	// scheme default). They change results, so unlike Parallelism they
-	// are part of the fingerprint: distinct knobs, distinct cache keys.
-	GroupSize   int `json:"groupSize,omitempty"`
-	InterEvery  int `json:"interEvery,omitempty"`
-	Parallelism int `json:"parallelism,omitempty"`
-}
-
-func (o RunOptions) toOptions() hadfl.Options {
-	return hadfl.Options{
-		Powers:       o.Powers,
-		Model:        o.Model,
-		Full:         o.Full,
-		TargetEpochs: o.TargetEpochs,
-		NonIIDAlpha:  o.NonIIDAlpha,
-		Seed:         o.Seed,
-		FailAt:       o.FailAt,
-		GroupSize:    o.GroupSize,
-		InterEvery:   o.InterEvery,
-		Parallelism:  o.Parallelism,
-	}
-}
-
-// runOptionsFrom is toOptions' inverse, shared by everything that
-// writes options back out (the result store's sidecar files). The
-// round trip through both is pinned field-for-field by a reflection
-// guard test, so a new hadfl.Options field that is not threaded
-// through here fails at unit-test time instead of silently dropping
-// data on persistence.
-func runOptionsFrom(o hadfl.Options) RunOptions {
-	return RunOptions{
-		Powers:       o.Powers,
-		Model:        o.Model,
-		Full:         o.Full,
-		TargetEpochs: o.TargetEpochs,
-		NonIIDAlpha:  o.NonIIDAlpha,
-		Seed:         o.Seed,
-		FailAt:       o.FailAt,
-		GroupSize:    o.GroupSize,
-		InterEvery:   o.InterEvery,
-		Parallelism:  o.Parallelism,
-	}
-}
+// RunOptions is the options half of a RunRequest under its serve-layer
+// name, kept so clients that spell the request with serve's types
+// compile unchanged.
+type RunOptions = hadfl.Options
 
 // Cache dispositions reported on the JobStatus "cache" field: where
 // this response's payload came from, consistently across POST /runs
@@ -481,10 +436,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
+	// One JSON value per request: a second value (or any non-space
+	// trailing byte) would otherwise be silently ignored.
+	if _, err := dec.Token(); err != io.EOF {
+		httpError(w, http.StatusBadRequest, "bad request body: data after the JSON value")
+		return
+	}
 	if req.Scheme == "" {
 		req.Scheme = hadfl.SchemeHADFL
 	}
-	job, cached, err := s.Submit(req.Scheme, req.Options.toOptions())
+	job, cached, err := s.Submit(req.Scheme, req.Options)
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShuttingDown):

@@ -232,7 +232,7 @@ func TestStatusCurveParameter(t *testing.T) {
 }
 
 func TestBadRequestsAndUnknownJobs(t *testing.T) {
-	srv := mustNew(t, Config{Workers: 1})
+	srv := mustNew(t, Config{Workers: 1, Runner: stubRunner(nil, nil, nil)})
 	defer srv.Close(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -248,6 +248,23 @@ func TestBadRequestsAndUnknownJobs(t *testing.T) {
 	}
 	if code, _ := postRun(t, ts.URL, `{"bogus":1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field = %d", code)
+	}
+	// One JSON value per body: a second one must not be silently dropped
+	// (the first would be submitted as if it were the whole request).
+	for _, body := range []string{
+		`{"scheme":"hadfl"}{"scheme":"distributed"}`,
+		`{"scheme":"hadfl"} x`,
+	} {
+		if code, _ := postRun(t, ts.URL, body); code != http.StatusBadRequest {
+			t.Fatalf("trailing data %q = %d, want 400", body, code)
+		}
+	}
+	if n := srv.cache.Len(); n != 0 {
+		t.Fatalf("rejected bodies created %d jobs", n)
+	}
+	// Trailing whitespace is not data: json.Encoder's newline still passes.
+	if code, _ := postRun(t, ts.URL, "{\"options\":{\"seed\":3}}\n \t\r\n"); code != http.StatusAccepted {
+		t.Fatalf("body with trailing whitespace = %d, want 202", code)
 	}
 	if code, _ := getStatus(t, ts.URL, "deadbeef"); code != http.StatusNotFound {
 		t.Fatalf("unknown id = %d", code)

@@ -36,15 +36,15 @@ type ResultStore struct {
 // (scheme + options, revalidated against the fingerprint on load) and
 // its summary without the model vector.
 type storedRun struct {
-	ID          string     `json:"id"`
-	Scheme      string     `json:"scheme"`
-	Options     RunOptions `json:"options"`
-	Accuracy    float64    `json:"accuracy"`
-	Time        float64    `json:"time"`
-	Rounds      int        `json:"rounds"`
-	DeviceBytes int64      `json:"deviceBytes"`
-	ServerBytes int64      `json:"serverBytes"`
-	Finished    time.Time  `json:"finished"`
+	ID          string        `json:"id"`
+	Scheme      string        `json:"scheme"`
+	Options     hadfl.Options `json:"options"`
+	Accuracy    float64       `json:"accuracy"`
+	Time        float64       `json:"time"`
+	Rounds      int           `json:"rounds"`
+	DeviceBytes int64         `json:"deviceBytes"`
+	ServerBytes int64         `json:"serverBytes"`
+	Finished    time.Time     `json:"finished"`
 }
 
 // NewResultStore opens (creating if needed) a store directory.
@@ -87,7 +87,7 @@ func (st *ResultStore) Save(j *Job, res *hadfl.Result) error {
 	sr := storedRun{
 		ID:          j.ID,
 		Scheme:      j.Scheme,
-		Options:     runOptionsFrom(j.Options),
+		Options:     j.Options,
 		Accuracy:    res.Accuracy,
 		Time:        res.Time,
 		Rounds:      res.Rounds,
@@ -152,10 +152,9 @@ func (st *ResultStore) loadOne(path string) (*Job, bool) {
 	if err := json.Unmarshal(data, &sr); err != nil {
 		return nil, false
 	}
-	opts := sr.Options.toOptions()
 	// The fingerprint is the cache key: recompute it so a stale or
 	// tampered entry cannot shadow a different run's slot.
-	fp, err := hadfl.Fingerprint(sr.Scheme, opts)
+	fp, err := hadfl.Fingerprint(sr.Scheme, sr.Options)
 	if err != nil || fp != sr.ID {
 		return nil, false
 	}
@@ -163,7 +162,7 @@ func (st *ResultStore) loadOne(path string) (*Job, bool) {
 	if err != nil || rounds != sr.Rounds {
 		return nil, false
 	}
-	j := newJob(sr.ID, sr.Scheme, opts)
+	j := newJob(sr.ID, sr.Scheme, sr.Options)
 	j.finish(&hadfl.Result{
 		Scheme:      sr.Scheme,
 		Accuracy:    sr.Accuracy,

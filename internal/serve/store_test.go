@@ -5,11 +5,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hadfl"
+	"hadfl/internal/coordinator"
 )
 
 // storeRunner is a fast fake run that still produces a persistable
@@ -105,6 +107,41 @@ func TestResultStoreSkipsCorruptEntries(t *testing.T) {
 	defer srv.Close(context.Background())
 	if n := srv.cache.Len(); n != 0 {
 		t.Fatalf("cache rehydrated %d corrupt entries", n)
+	}
+}
+
+// TestResultStoreLoadsPinnedSidecar rehydrates a sidecar byte-for-byte
+// as the store wrote it while options still went through a serve-side
+// mirror struct, every option set: stores written then keep serving
+// their results without a retrain.
+func TestResultStoreLoadsPinnedSidecar(t *testing.T) {
+	dir := t.TempDir()
+	const id = "cc690836145f1fe20c2c622d90553e98b3867798677506fc824a1990c0d958c6"
+	sidecar := `{"id":"` + id + `","scheme":"hadfl-grouped","options":{"powers":[4,2.5,1],"model":"vgg","full":true,"targetEpochs":8.5,"nonIIDAlpha":0.3,"seed":7,"failAt":{"0":3.25,"2":12.5},"groupSize":3,"interEvery":4,"parallelism":2},"accuracy":0.75,"time":12.5,"rounds":3,"deviceBytes":100,"serverBytes":0,"finished":"2026-01-02T03:04:05Z"}`
+	if err := os.WriteFile(filepath.Join(dir, id+".json"), []byte(sidecar), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ms := coordinator.NewModelStore(1)
+	ms.Save(3, []float64{1, 2})
+	if err := ms.WriteFile(filepath.Join(dir, id+".model")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewResultStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := st.Load()
+	if len(jobs) != 1 || jobs[0].ID != id || jobs[0].State() != StateDone {
+		t.Fatalf("loaded %d jobs, want the pinned sidecar as one done job", len(jobs))
+	}
+	want := hadfl.Options{
+		Powers: []float64{4, 2.5, 1}, Model: "vgg", Full: true,
+		TargetEpochs: 8.5, NonIIDAlpha: 0.3, Seed: 7,
+		FailAt:    map[int]float64{0: 3.25, 2: 12.5},
+		GroupSize: 3, InterEvery: 4, Parallelism: 2,
+	}
+	if got := jobs[0].Options; !reflect.DeepEqual(got, want) {
+		t.Fatalf("rehydrated options %+v, want %+v", got, want)
 	}
 }
 

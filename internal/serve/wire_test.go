@@ -1,20 +1,22 @@
 package serve
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
 	"hadfl"
 )
 
-// TestRunOptionsCoverEveryOptionsField is the serve-layer drift guard
-// (mirroring dispatch's): every hadfl.Options field, populated with a
-// non-zero value via reflection, must survive runOptionsFrom →
-// toOptions exactly. A future Options field that is not threaded
-// through RunOptions fails here at unit-test time instead of silently
-// dropping data in the HTTP API or the persisted store sidecars.
+// TestRunOptionsCoverEveryOptionsField is the serve-layer drift guard:
+// every hadfl.Options field, populated with a non-zero value via
+// reflection, must survive the JSON round trip of both serve wire
+// structs — the POST /runs body and the store sidecar. A future Options
+// field kept off the wire (tagged "-", or given a lossy encoding) fails
+// here at unit-test time instead of silently dropping data in the HTTP
+// API or the persisted sidecars.
 func TestRunOptionsCoverEveryOptionsField(t *testing.T) {
-	var o hadfl.Options
+	var o RunOptions
 	v := reflect.ValueOf(&o).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
@@ -39,9 +41,27 @@ func TestRunOptionsCoverEveryOptionsField(t *testing.T) {
 			fillWireScalar(t, name, f, i)
 		}
 	}
-	got := runOptionsFrom(o).toOptions()
-	if !reflect.DeepEqual(got, o) {
-		t.Fatalf("RunOptions round trip dropped data:\n got %+v\nwant %+v\n(extend RunOptions/toOptions/runOptionsFrom for the new field)", got, o)
+
+	var req RunRequest
+	roundTrip(t, RunRequest{Scheme: hadfl.SchemeHADFL, Options: o}, &req)
+	if !reflect.DeepEqual(req.Options, o) {
+		t.Fatalf("RunRequest round trip dropped data:\n got %+v\nwant %+v\n(give the new Options field a JSON key)", req.Options, o)
+	}
+	var sr storedRun
+	roundTrip(t, storedRun{ID: "x", Scheme: hadfl.SchemeHADFL, Options: o}, &sr)
+	if !reflect.DeepEqual(sr.Options, o) {
+		t.Fatalf("store sidecar round trip dropped data:\n got %+v\nwant %+v\n(give the new Options field a JSON key)", sr.Options, o)
+	}
+}
+
+func roundTrip(t *testing.T, in, out any) {
+	t.Helper()
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, out); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -57,6 +77,6 @@ func fillWireScalar(t *testing.T, name string, f reflect.Value, i int) {
 	case reflect.String:
 		f.SetString(name + "-v")
 	default:
-		t.Fatalf("Options field %s has kind %v this guard cannot populate — extend fillWireScalar and RunOptions", name, f.Kind())
+		t.Fatalf("Options field %s has kind %v this guard cannot populate — extend fillWireScalar", name, f.Kind())
 	}
 }

@@ -13,7 +13,7 @@ import (
 // Every product is named by its own M×K×N (dst is M×N, K is the summed
 // dimension) and reports GFLOP/s next to ns/op, so rows compare across
 // shapes and hosts. A "Parallel" suffix is the same product at
-// SetParallelism(8); hadfl-benchjson pairs the two by that suffix.
+// SetParallelism(8).
 
 // layers are the layers training actually runs, as rows×in×out:
 // ResNetTiny/VGGTiny's first and second conv stages after im2col, and
