@@ -16,8 +16,8 @@ check: fmt-check vet lint build test-short
 ci: fmt-check vet lint test-short test-race-short alloc-guard fuzz-short e2e-dispatch bench-smoke bench-module-test cover
 
 # lint runs hadfl-lint, the repo's own analyzer suite (internal/lint):
-# detmap, walltime, poolleaf, metriccatalog, ctxbg — the determinism,
-# concurrency, and telemetry contracts as machine-checked gates. See
+# detmap, walltime, metriccatalog, ctxbg — the determinism, context,
+# and telemetry contracts as machine-checked gates. See
 # DESIGN.md "Static analysis"; suppress a finding at the site with
 # `//lint:ignore <analyzer> <reason>`.
 lint:
@@ -112,9 +112,9 @@ test:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# test-race runs the fixed-seed parallel-determinism contract, the
-# golden runs (and the kernel bit-determinism tests) under the race
-# detector, plus every package that starts goroutines around models:
+# test-race runs the fixed-seed parallel-determinism contract and the
+# golden runs under the race detector, plus every package that starts
+# goroutines around models:
 # the round loop, asyncfl's compute workers, the evaluator's replicas.
 test-race:
 	$(GO) test -race -run 'TestParallelDeterminism|TestGoldenRuns' .

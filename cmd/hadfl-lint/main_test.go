@@ -12,7 +12,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr %q", code, errOut.String())
 	}
-	for _, name := range []string{"detmap", "walltime", "poolleaf", "metriccatalog", "ctxbg"} {
+	for _, name := range []string{"detmap", "walltime", "metriccatalog", "ctxbg"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())
 		}

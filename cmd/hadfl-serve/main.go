@@ -73,7 +73,7 @@ func run(args []string, out, errOut io.Writer, ready chan<- net.Addr, quit <-cha
 		grace      = fs.Duration("grace", 30*time.Second, "shutdown grace for running jobs")
 		cacheMax   = fs.Int("cache-max", 1024, "max cached results before LRU eviction (0 = unbounded)")
 		runPar     = fs.Int("run-parallelism", 0, "per-run device concurrency when a request leaves it unset (0 = sequential)")
-		tpar       = fs.Int("tensor-workers", 0, "tensor kernel worker pool size (0 = GOMAXPROCS)")
+		tpar       = fs.Int("tensor-workers", 0, "scoring replicas per evaluation (0 = GOMAXPROCS)")
 		storeDir   = fs.String("store-dir", "", "persist completed results here and rehydrate them on boot (empty = in-memory only)")
 		dispatchTo = fs.String("dispatch", "", "comma-separated hadfl-worker addresses to execute runs on (empty = run locally); the i-th address must be the worker started with -id i")
 		dispAddr   = fs.String("dispatch-listen", "127.0.0.1:0", "p2p listen address for worker replies (with -dispatch)")

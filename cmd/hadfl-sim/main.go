@@ -56,7 +56,7 @@ func run(args []string, out, errOut io.Writer) error {
 		save    = fs.String("save", "", "persist the final model snapshot to this file")
 		load    = fs.String("load", "", "skip training; evaluate a persisted snapshot instead")
 		par     = fs.Int("parallelism", 0, "concurrent devices per round (0 = GOMAXPROCS, 1 = sequential; never changes results)")
-		tpar    = fs.Int("tensor-workers", 0, "tensor kernel worker pool size (0 = GOMAXPROCS)")
+		tpar    = fs.Int("tensor-workers", 0, "scoring replicas per evaluation (0 = GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -64,7 +64,7 @@ func run(args []string, out, errOut io.Writer, ready chan<- string, quit <-chan 
 		listen    = fs.String("listen", "127.0.0.1:7071", "p2p listen address for dispatch frames")
 		id        = fs.Int("id", 1, "worker node id (position in the dispatcher's -dispatch list, 1-based)")
 		capacity  = fs.Int("capacity", 1, "concurrent dispatched runs before busy-rejecting")
-		tpar      = fs.Int("tensor-workers", 0, "tensor kernel worker pool size (0 = GOMAXPROCS)")
+		tpar      = fs.Int("tensor-workers", 0, "scoring replicas per evaluation (0 = GOMAXPROCS)")
 		wireCodec = fs.String("wire-codec", "", "comma-separated parameter wire codecs to advertise, in preference order (empty = all registered; raw64 is always included)")
 		httpAddr  = fs.String("http", "", "observability HTTP listen address serving /metrics, /debug/traces and /healthz (empty = disabled)")
 		logLevel  = fs.String("log-level", "warn", "structured log threshold: debug, info, warn, error, or off")

@@ -94,21 +94,17 @@ type Options struct {
 	// sequential). It is a throughput knob only: results are
 	// byte-identical at every setting, so it is excluded from
 	// Canonical/Fingerprint and two requests differing only in
-	// Parallelism coalesce onto one cached result. While devices
-	// compute concurrently the tensor kernels under them run serial;
-	// the kernel pool (SetComputeParallelism) serves a model that
-	// computes alone.
+	// Parallelism coalesce onto one cached result. The tensor kernels
+	// under each device are serial loops; the evaluator's scoring
+	// replicas are capped by SetComputeParallelism instead.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
-// SetComputeParallelism sets the worker count of the shared tensor
-// kernel pool (matrix multiplies, im2col, vector math), which every
-// run in the process shares; 0 or negative resets it to GOMAXPROCS.
-// The pool shards the kernels of a model that computes alone; models
-// computing side by side (see Options.Parallelism) leave it idle. It
-// also caps the evaluator's scoring replicas.
-// Like Options.Parallelism this never changes results, only
-// throughput. Call it at startup, not while runs are in flight.
+// SetComputeParallelism caps how many scoring replicas one evaluation
+// runs side by side, for every run in the process; 0 or negative
+// resets it to GOMAXPROCS. Like Options.Parallelism this never changes
+// results, only throughput. Call it at startup, not while runs are in
+// flight.
 func SetComputeParallelism(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

@@ -8,8 +8,7 @@
 // to model architecture. The arithmetic itself lives in the shared
 // vector-math layer (internal/tensor's Vec helpers), so the simulator
 // and the wire paths (internal/p2p ring reduce, internal/runtime) run
-// one chunked — and, on large models, parallel — implementation whose
-// results are bit-identical at every parallelism level.
+// one implementation with one summation order.
 package aggregate
 
 import (

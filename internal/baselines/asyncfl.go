@@ -111,9 +111,8 @@ func RunAsyncFL(ctx context.Context, c *core.Cluster, cfg AsyncFLConfig) (*core.
 		parts[id] = c.Device(id).ComputeN(ctx, cfg.LocalSteps)
 		done[id] <- struct{}{}
 	}
-	// With one worker the event loop computes each cycle as it starts —
-	// a model alone, free to shard its kernels; with more it only
-	// queues them.
+	// With one worker the event loop computes each cycle as it starts;
+	// with more it only queues them.
 	queue := make(chan int, k)
 	start, goroutines := compute, 1
 	if workers := min(cfg.Workers(), k); workers > 1 {

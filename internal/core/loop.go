@@ -32,9 +32,9 @@ import (
 //     loader, RNG), so Train may run them concurrently; their partials
 //     are combined only after the join, in device order, which keeps
 //     every float reduction — and so every curve — byte-identical at
-//     every Parallelism. Concurrent devices are the one level of
-//     parallelism: while they run, the kernels under them are serial
-//     (tensor.Concurrently); only a model computing alone shards.
+//     every Parallelism. Concurrent devices (tensor.Concurrently) are
+//     the one level of parallelism; the kernels under them are serial
+//     loops.
 //   - The curve. A point is (epochs processed so far, virtual clock,
 //     the scheme's training loss for the interval, test accuracy of
 //     Global), appended by Record, which is also the only place OnRound

@@ -64,10 +64,6 @@ func BenchmarkEvaluateEngineParallel(b *testing.B) { benchmarkEngine(b, 4) }
 // one giant batch, a gradient-allocating loss pass, then a second full
 // forward for accuracy.
 func BenchmarkEvaluateLegacyDoubleForward(b *testing.B) {
-	prev := tensor.Parallelism()
-	tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
-
 	data := benchData()
 	m := benchModel()
 	params := benchModel().Parameters()

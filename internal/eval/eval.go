@@ -1,27 +1,27 @@
 // Package eval implements the batched evaluation engine: scoring a
-// flat parameter vector against a labelled dataset in fixed-size
-// batches, with one forward pass per batch producing loss and accuracy
-// together (the training side of this contract is nn's fused
-// SoftmaxCrossEntropyEvalInto kernel).
+// flat parameter vector against a labelled dataset in batches of at
+// most a fixed size, with one forward pass per batch producing loss
+// and accuracy together (the training side of this contract is nn's
+// fused SoftmaxCrossEntropyEvalInto kernel).
 //
-// Parallelism. There is one level of it at a time. With several full
-// batches the engine shards them over scoring replicas — one goroutine
-// each (tensor.Concurrently), capped by tensor.Parallelism() — and the
-// kernels under every replica run serial for the duration: the replicas
-// own the cores. A pass confined to one replica (a single batch, no
-// factory, the trailing partial batch) is a model computing alone, and
-// its kernels shard over the tensor pool as usual. The engine never
-// submits its shard bodies to that pool: pool tasks must be leaves.
+// Parallelism. The engine scores spans — contiguous sample ranges, one
+// forward pass each — on scoring replicas that run side by side
+// (tensor.Concurrently), at most tensor.Parallelism() of them; the
+// kernels under each replica are plain serial loops. With at least
+// that many full batches the spans are the batches. With fewer, and a
+// replica factory, the set is cut into one span per replica instead, so
+// a test split of a batch or two still uses every core.
 //
-// Determinism contract. However scoring is sharded, every quantity the
+// Determinism contract. However scoring is split, every quantity the
 // engine reports is bit-identical at every parallelism level and every
 // batch size:
 //
 //   - per-sample losses land in one flat buffer indexed by dataset
-//     position, and batches slice the dataset contiguously, so the
-//     buffer's contents do not depend on how samples were batched
+//     position, and spans slice the dataset contiguously, so the
+//     buffer's contents do not depend on how samples were grouped
 //     (every kernel under Model.Forward computes output rows
-//     independently, in a fixed per-row operation order);
+//     independently, in a fixed per-row operation order, and inference
+//     batch norm uses running statistics);
 //   - the loss reduction over that buffer runs in fixed tensor-layer
 //     chunks (tensor.VecSum), so its bits depend only on the dataset
 //     size;
@@ -30,12 +30,13 @@
 // Buffer ownership. The engine owns everything it touches between
 // calls: the scoring replicas (models whose layer buffers persist),
 // one row-slice view per replica, the per-sample loss buffer and the
-// per-batch correct counts. Callers own only the parameter vector they
-// pass in, which is read, never retained. In steady state — same
-// dataset, same batch size — an evaluation performs zero heap
-// allocations on the serial kernel path (tensor.Parallelism() == 1);
-// replica dispatch and sharded kernels spend a few words on goroutine
-// coordination.
+// per-replica correct counts. Callers own only the parameter vector
+// they pass in, which is read, never retained. Each replica always
+// scores spans of one size, and a partial trailing span has a replica
+// of its own, so in steady state — same dataset, batch size and
+// parallelism — an evaluation on one replica performs zero heap
+// allocations; running replicas side by side spends a few words on
+// goroutine coordination.
 //
 // An Evaluator is not safe for concurrent use: it reuses its buffers
 // across calls, so evaluations must be serialized by the caller (the
@@ -54,8 +55,9 @@ import (
 )
 
 // DefaultBatchSize is the scoring batch size when Config.BatchSize is
-// unset: large enough to amortize per-batch overhead, small enough
-// that several batches exist to shard on typical test splits.
+// unset: large enough to amortize per-batch overhead. A test split
+// with fewer full batches than replicas is cut into one span per
+// replica instead (see the package comment).
 const DefaultBatchSize = 256
 
 // Config assembles an Evaluator.
@@ -83,15 +85,16 @@ type Result struct {
 	Loss float64
 	// Accuracy is the fraction of samples classified correctly (0..1).
 	Accuracy float64
-	// Samples and Batches describe the pass that produced the scores.
+	// Samples is the dataset size; Batches the number of BatchSize
+	// batches it makes, the last possibly partial.
 	Samples, Batches int
 }
 
 // Stats is cumulative engine telemetry, exported by the serve layer as
 // eval_batches_total / eval_seconds_total.
 type Stats struct {
-	// Evals counts EvaluateInto calls; Batches the forward passes they
-	// performed.
+	// Evals counts EvaluateInto calls; Batches the BatchSize batches
+	// they scored.
 	Evals, Batches int64
 	// Seconds is wall-clock time spent scoring.
 	Seconds float64
@@ -110,17 +113,17 @@ type Evaluator struct {
 	batch      int
 	newReplica func() *nn.Model
 
-	// replicas[0] is Config.Model; more are built on demand, capped by
-	// the batch count. rem is the dedicated remainder-batch replica, so
-	// the full-batch replicas keep stable buffer shapes.
+	// replicas[0] is Config.Model; more are built on demand, one per
+	// worker that scores full spans. rem is the partial-span replica,
+	// so the others keep stable buffer shapes; without a factory it is
+	// replicas[0].
 	replicas []*replica
 	rem      *replica
 
-	fullBatches int // batches of exactly batch samples
-	remSize     int // samples in the trailing partial batch (0 = none)
+	span, workers int // this call's span size and replica count
 
-	sampleLoss   []float64 // per-sample loss, indexed by dataset position
-	correctBatch []int     // per-batch correct counts, disjoint writes
+	sampleLoss []float64 // per-sample loss, indexed by dataset position
+	correct    []int     // per-worker correct counts, disjoint writes
 
 	evals, batches, nanos atomic.Int64
 }
@@ -143,28 +146,20 @@ func New(cfg Config) (*Evaluator, error) {
 		b = n
 	}
 	e := &Evaluator{
-		data:        cfg.Data,
-		batch:       b,
-		newReplica:  cfg.NewReplica,
-		replicas:    []*replica{{model: cfg.Model}},
-		fullBatches: n / b,
-		remSize:     n % b,
-		sampleLoss:  make([]float64, n),
+		data:       cfg.Data,
+		batch:      b,
+		newReplica: cfg.NewReplica,
+		replicas:   []*replica{{model: cfg.Model}},
+		sampleLoss: make([]float64, n),
 	}
-	e.correctBatch = make([]int, e.numBatches())
+	if e.newReplica == nil {
+		e.rem = e.replicas[0]
+	}
 	return e, nil
 }
 
 // BatchSize returns the fixed scoring batch size.
 func (e *Evaluator) BatchSize() int { return e.batch }
-
-func (e *Evaluator) numBatches() int {
-	nb := e.fullBatches
-	if e.remSize > 0 {
-		nb++
-	}
-	return nb
-}
 
 // Stats returns cumulative telemetry for every evaluation so far.
 func (e *Evaluator) Stats() Stats {
@@ -182,58 +177,33 @@ func (e *Evaluator) Evaluate(params []float64) (loss, acc float64) {
 	return res.Loss, res.Accuracy
 }
 
-// EvaluateInto scores params into res: one forward pass per batch
-// produces loss and accuracy together. Full-size batches shard across
-// at most tensor.Parallelism() scoring replicas, each owned by one
-// goroutine pulling batch indices from a shared counter, with serial
-// kernels under them (see the package comment); the trailing
-// partial batch, if any, is scored on its own replica so the
-// full-batch replicas keep stable buffer shapes. Results are
-// bit-identical at every parallelism level and batch size.
+// EvaluateInto scores params into res: one forward pass per span
+// produces loss and accuracy together, with spans spread over scoring
+// replicas as the package comment describes. Results are bit-identical
+// at every parallelism level and batch size.
 func (e *Evaluator) EvaluateInto(res *Result, params []float64) {
 	//lint:ignore walltime EvalSeconds telemetry only; the clock never reaches loss/accuracy numerics
 	start := time.Now()
 	n := e.data.Len()
-	nb := e.numBatches()
-
-	p := tensor.Parallelism()
-	if p > e.fullBatches {
-		p = e.fullBatches
-	}
-	if e.newReplica == nil || p < 1 {
-		p = 1
-	}
-	e.ensureReplicas(p)
-	for _, r := range e.replicas[:p] {
+	full := e.layout(tensor.Parallelism())
+	for _, r := range e.replicas[:min(e.workers, full)] {
 		r.model.SetParameters(params)
 	}
-
-	if p <= 1 {
-		r := e.replicas[0]
-		for b := 0; b < e.fullBatches; b++ {
-			e.scoreBatch(r, b)
-		}
-	} else {
-		var next atomic.Int64
-		tensor.Concurrently(p, func(w int) {
-			r := e.replicas[w]
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= e.fullBatches {
-					return
-				}
-				e.scoreBatch(r, b)
-			}
-		})
+	if n%e.span != 0 {
+		e.rem.model.SetParameters(params)
 	}
-	if e.remSize > 0 {
-		e.scoreBatch(e.remainderReplica(params), e.fullBatches)
+
+	if e.workers == 1 {
+		e.scoreShare(0)
+	} else {
+		tensor.Concurrently(e.workers, e.scoreShare)
 	}
 
 	correct := 0
-	for _, c := range e.correctBatch {
+	for _, c := range e.correct[:e.workers] {
 		correct += c
 	}
+	nb := (n + e.batch - 1) / e.batch
 	res.Loss = tensor.VecSum(e.sampleLoss) / float64(n)
 	res.Accuracy = float64(correct) / float64(n)
 	res.Samples = n
@@ -245,38 +215,51 @@ func (e *Evaluator) EvaluateInto(res *Result, params []float64) {
 	e.nanos.Add(time.Since(start).Nanoseconds())
 }
 
-// scoreBatch runs batch b — samples [b*batch, min((b+1)*batch, n)) —
-// through r and records its per-sample losses and correct count. All
-// writes are disjoint per batch index.
-func (e *Evaluator) scoreBatch(r *replica, b int) {
-	lo := b * e.batch
-	hi := lo + e.batch
-	if n := e.data.Len(); hi > n {
-		hi = n
+// layout sets this call's span size and worker count for up to p
+// replicas, grows the replica set to match (growth allocates; steady
+// state does not) and returns the number of full spans. Spans are
+// BatchSize batches when there are at least p full ones or no replica
+// factory; otherwise the set is cut into at most p equal spans, each no
+// larger than a batch.
+func (e *Evaluator) layout(p int) (full int) {
+	n := e.data.Len()
+	if e.newReplica == nil {
+		p = 1
 	}
-	r.view = tensor.SliceRows(r.view, e.data.X, lo, hi)
-	logits := r.model.Forward(r.view, false)
-	e.correctBatch[b] = nn.SoftmaxCrossEntropyEvalInto(e.sampleLoss[lo:hi], logits, e.data.Y[lo:hi])
-}
-
-// ensureReplicas grows the replica set to p. Growth allocates; steady
-// state does not.
-func (e *Evaluator) ensureReplicas(p int) {
-	for len(e.replicas) < p {
+	e.span = e.batch
+	if n/e.batch < p {
+		e.span = (n + p - 1) / p
+	}
+	full = n / e.span
+	e.workers = min(p, (n+e.span-1)/e.span)
+	for len(e.replicas) < min(e.workers, full) {
 		e.replicas = append(e.replicas, &replica{model: e.newReplica()})
 	}
-}
-
-// remainderReplica returns the dedicated partial-batch replica with
-// params loaded. Without a factory it falls back to the primary
-// replica, whose layer buffers then reshape between batch sizes.
-func (e *Evaluator) remainderReplica(params []float64) *replica {
-	if e.newReplica == nil {
-		return e.replicas[0]
-	}
-	if e.rem == nil {
+	if n%e.span != 0 && e.rem == nil {
 		e.rem = &replica{model: e.newReplica()}
 	}
-	e.rem.model.SetParameters(params)
-	return e.rem
+	if len(e.correct) < e.workers {
+		e.correct = make([]int, e.workers)
+	}
+	return full
+}
+
+// scoreShare scores worker w's spans — w, w+workers, w+2·workers, … —
+// on its own replica, except the partial trailing span, which goes to
+// the remainder replica. Each span records its per-sample losses; the
+// worker's correct count lands in correct[w]. All writes are disjoint
+// per worker.
+func (e *Evaluator) scoreShare(w int) {
+	n := e.data.Len()
+	e.correct[w] = 0
+	for lo := w * e.span; lo < n; lo += e.workers * e.span {
+		hi := min(lo+e.span, n)
+		r := e.rem
+		if hi-lo == e.span {
+			r = e.replicas[w]
+		}
+		r.view = tensor.SliceRows(r.view, e.data.X, lo, hi)
+		logits := r.model.Forward(r.view, false)
+		e.correct[w] += nn.SoftmaxCrossEntropyEvalInto(e.sampleLoss[lo:hi], logits, e.data.Y[lo:hi])
+	}
 }

@@ -87,8 +87,8 @@ func TestEvaluateDeterministicAcrossBatchSizes(t *testing.T) {
 	}
 }
 
-// Bit-determinism across parallelism levels: sharding batches over the
-// tensor worker pool is a throughput knob, never a numerics knob.
+// Bit-determinism across parallelism levels: spreading batches over
+// scoring replicas is a throughput knob, never a numerics knob.
 func TestEvaluateDeterministicAcrossParallelism(t *testing.T) {
 	prev := tensor.Parallelism()
 	defer tensor.SetParallelism(prev)
@@ -110,10 +110,9 @@ func TestEvaluateDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// A wide model pushes the per-batch matmuls over the kernel
-// parallelization threshold, so batch-level replica goroutines and the
-// nested kernel-pool dispatches run at the same time — the regression
-// case for shard bodies that must never block inside the kernel pool.
+// A wide model scored on four replicas side by side gives the serial
+// bits: the replicas share nothing but the dataset and the disjoint
+// slices of the loss buffer they write.
 func TestEvaluateParallelWithParallelKernels(t *testing.T) {
 	prev := tensor.Parallelism()
 	defer tensor.SetParallelism(prev)
@@ -131,17 +130,44 @@ func TestEvaluateParallelWithParallelKernels(t *testing.T) {
 	wantLoss, wantAcc := e.Evaluate(params)
 	tensor.SetParallelism(4)
 	loss, acc := e.Evaluate(params)
-	tensor.SetParallelism(1)
 	if math.Float64bits(loss) != math.Float64bits(wantLoss) ||
 		math.Float64bits(acc) != math.Float64bits(wantAcc) {
-		t.Fatalf("parallel kernels + parallel batches: (%v, %v), serial (%v, %v)",
-			loss, acc, wantLoss, wantAcc)
+		t.Fatalf("four replicas: (%v, %v), serial (%v, %v)", loss, acc, wantLoss, wantAcc)
 	}
 }
 
-// Steady-state evaluations allocate nothing on the serial kernel path,
-// including when the dataset size is not a multiple of the batch size
-// (the remainder batch runs on its own replica).
+// With fewer full batches than Parallelism() the engine cuts the set
+// into one span per replica instead of scoring a lone batch on one
+// replica, and still gives the serial bits and the batch count.
+func TestEvaluateSplitsFewBatchesOverReplicas(t *testing.T) {
+	prev := tensor.Parallelism()
+	defer tensor.SetParallelism(prev)
+
+	data := testData(t, 130)
+	params := testParams()
+	e := testEvaluator(t, data, 100) // 1 full batch + remainder of 30
+	tensor.SetParallelism(1)
+	wantLoss, wantAcc := e.Evaluate(params)
+	for _, tc := range []struct{ p, span int }{{2, 65}, {3, 44}, {4, 33}, {8, 17}} {
+		tensor.SetParallelism(tc.p)
+		var res Result
+		e.EvaluateInto(&res, params)
+		if e.span != tc.span || e.workers != tc.p {
+			t.Errorf("parallelism %d: %d workers over spans of %d, want %d over %d", tc.p, e.workers, e.span, tc.p, tc.span)
+		}
+		if math.Float64bits(res.Loss) != math.Float64bits(wantLoss) ||
+			math.Float64bits(res.Accuracy) != math.Float64bits(wantAcc) {
+			t.Fatalf("parallelism %d: (%v, %v), serial (%v, %v)", tc.p, res.Loss, res.Accuracy, wantLoss, wantAcc)
+		}
+		if res.Batches != 2 {
+			t.Errorf("parallelism %d: %d batches, want 2 of BatchSize", tc.p, res.Batches)
+		}
+	}
+}
+
+// Steady-state evaluations on one replica allocate nothing, including
+// when the dataset size is not a multiple of the batch size (the
+// remainder batch runs on its own replica).
 func TestEvaluateZeroAllocSteadyState(t *testing.T) {
 	prev := tensor.Parallelism()
 	tensor.SetParallelism(1)

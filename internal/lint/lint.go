@@ -1,8 +1,8 @@
 // Package lint implements hadfl-lint: a stdlib-only static-analysis
 // suite (go/parser + go/ast + go/token, nothing else) that mechanically
 // enforces the project invariants the HADFL reproduction rests on —
-// byte-determinism of run paths, the kernel-pool leaf rule, the
-// canonical metric-name catalog, and context threading.
+// byte-determinism of run paths, the canonical metric-name catalog,
+// and context threading.
 //
 // The analyzers are deliberately syntactic: without go/types they
 // resolve declarations per package (see scope.go), which makes them
@@ -68,7 +68,6 @@ type Analyzer struct {
 var analyzers = []*Analyzer{
 	detmapAnalyzer,
 	walltimeAnalyzer,
-	poolleafAnalyzer,
 	metriccatalogAnalyzer,
 	ctxbgAnalyzer,
 }

@@ -109,10 +109,6 @@ func TestWalltimeDispatchFixture(t *testing.T) {
 	runFixture(t, "walltimedispatch", "internal/serve/dispatch", walltimeAnalyzer)
 }
 
-func TestPoolleafFixture(t *testing.T) {
-	runFixture(t, "poolleaf", "internal/tensor", poolleafAnalyzer)
-}
-
 func TestMetricCatalogFixture(t *testing.T) {
 	runFixture(t, "metriccatalog", "internal/serve", metriccatalogAnalyzer)
 }
@@ -141,7 +137,6 @@ func TestAnalyzerScoping(t *testing.T) {
 		{"detmap", "internal/serve", detmapAnalyzer},
 		{"walltime", "cmd/hadfl-sim", walltimeAnalyzer},
 		{"walltimedispatch", "internal/serve", walltimeAnalyzer},
-		{"poolleaf", "internal/eval", poolleafAnalyzer},
 		{"ctxbg", "cmd/hadfl-serve", ctxbgAnalyzer},
 		{"metriccatalog", "internal/metrics", metriccatalogAnalyzer},
 	} {
@@ -171,10 +166,10 @@ func TestDiagnosticString(t *testing.T) {
 	}
 }
 
-// TestAnalyzersRegistered pins the suite: the five repo invariants
+// TestAnalyzersRegistered pins the suite: the four repo invariants
 // stay enforced and names stay stable for lint:ignore directives.
 func TestAnalyzersRegistered(t *testing.T) {
-	want := []string{"detmap", "walltime", "poolleaf", "metriccatalog", "ctxbg"}
+	want := []string{"detmap", "walltime", "metriccatalog", "ctxbg"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("registered %d analyzers, want %d", len(got), len(want))

@@ -9,15 +9,9 @@ import (
 
 // The zero-allocation guarantee: after warm-up, a steady-state training
 // step (forward, loss, backward, optimizer update at a fixed batch
-// shape) performs no heap allocations. The guarantee covers the serial
-// kernel path — parallel kernels spend a few small allocations per call
-// on goroutine coordination — so the test pins tensor parallelism to 1.
+// shape) performs no heap allocations.
 func testZeroAllocStep(t *testing.T, m *Model, x *tensor.Tensor, labels []int) {
 	t.Helper()
-	prev := tensor.Parallelism()
-	tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
-
 	opt := NewSGD(0.05, 0.9, 1e-4)
 	grad := tensor.New(x.Dim(0), 1) // resized to the logits shape below
 	step := func() {
@@ -38,14 +32,9 @@ func testZeroAllocStep(t *testing.T, m *Model, x *tensor.Tensor, labels []int) {
 
 // The evaluation-side guarantee: a steady-state scoring step — forward
 // in inference mode plus the fused per-sample loss + accuracy kernel
-// at a fixed batch shape — performs no heap allocations. Same
-// serial-kernel scope as the training guard above.
+// at a fixed batch shape — performs no heap allocations.
 func testZeroAllocEval(t *testing.T, m *Model, x *tensor.Tensor, labels []int) {
 	t.Helper()
-	prev := tensor.Parallelism()
-	tensor.SetParallelism(1)
-	defer tensor.SetParallelism(prev)
-
 	perSample := make([]float64, x.Dim(0))
 	evalStep := func() {
 		logits := m.Forward(x, false)

@@ -29,7 +29,6 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 }
 
 // Im2ColInto is Im2Col reusing cols' storage ([N·OH·OW, C·KH·KW]).
-// Images unroll independently, sharded across the worker pool.
 func Im2ColInto(cols *Tensor, x *Tensor, kh, kw, stride, pad int) {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: Im2Col needs [N C H W], got %v", x.shape))
@@ -40,26 +39,11 @@ func Im2ColInto(cols *Tensor, x *Tensor, kh, kw, stride, pad int) {
 	rowLen := c * kh * kw
 	mustShape("Im2ColInto cols", cols, n*oh*ow, rowLen)
 	xd, cd := x.data, cols.data
-	if runSerial(n * oh * ow * rowLen * 4) {
-		im2colRange(cd, xd, 0, n, c, h, w, oh, ow, kh, kw, stride, pad, rowLen)
-		return
-	}
-	parallelFor(n, 1, func(n0, n1 int) {
-		im2colRange(cd, xd, n0, n1, c, h, w, oh, ow, kh, kw, stride, pad, rowLen)
-	})
-}
-
-// im2colRange unrolls images [n0, n1); images are independent, so the
-// range shards freely across workers.
-func im2colRange(cd, xd []float64, n0, n1, c, h, w, oh, ow, kh, kw, stride, pad, rowLen int) {
 	if pad > 0 {
 		// Padding positions are skipped below and must read as zero.
-		seg := cd[n0*oh*ow*rowLen : n1*oh*ow*rowLen]
-		for i := range seg {
-			seg[i] = 0
-		}
+		clear(cd)
 	}
-	for ni := n0; ni < n1; ni++ {
+	for ni := 0; ni < n; ni++ {
 		imgBase := ni * c * h * w
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*stride - pad
@@ -100,7 +84,6 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 }
 
 // Col2ImInto is Col2Im scattering into img's storage (zeroed first).
-// Images scatter independently, sharded across the worker pool.
 func Col2ImInto(img *Tensor, cols *Tensor, kh, kw, stride, pad int) {
 	if img.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: Col2ImInto needs [N C H W] dst, got %v", img.shape))
@@ -113,23 +96,8 @@ func Col2ImInto(img *Tensor, cols *Tensor, kh, kw, stride, pad int) {
 		panic(fmt.Sprintf("tensor: Col2Im cols shape %v, want [%d %d]", cols.shape, n*oh*ow, rowLen))
 	}
 	xd, cd := img.data, cols.data
-	if runSerial(n * oh * ow * rowLen * 4) {
-		col2imRange(xd, cd, 0, n, c, h, w, oh, ow, kh, kw, stride, pad, rowLen)
-		return
-	}
-	parallelFor(n, 1, func(n0, n1 int) {
-		col2imRange(xd, cd, n0, n1, c, h, w, oh, ow, kh, kw, stride, pad, rowLen)
-	})
-}
-
-// col2imRange zeroes and scatter-accumulates images [n0, n1); each
-// image's scatter touches only its own plane, so ranges shard freely.
-func col2imRange(xd, cd []float64, n0, n1, c, h, w, oh, ow, kh, kw, stride, pad, rowLen int) {
-	seg := xd[n0*c*h*w : n1*c*h*w]
-	for i := range seg {
-		seg[i] = 0
-	}
-	for ni := n0; ni < n1; ni++ {
+	clear(xd)
+	for ni := 0; ni < n; ni++ {
 		imgBase := ni * c * h * w
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*stride - pad
@@ -190,20 +158,8 @@ func MaxPool2DInto(out *Tensor, arg []int, x *Tensor, window, stride int) {
 		panic(fmt.Sprintf("tensor: MaxPool2DInto arg len %d, want %d", len(arg), out.Len()))
 	}
 	xd, od := x.data, out.data
-	if runSerial(n * c * h * w * 2) {
-		maxPoolPlanes(od, xd, arg, 0, n*c, h, w, oh, ow, window, stride)
-		return
-	}
-	parallelFor(n*c, 1, func(p0, p1 int) {
-		maxPoolPlanes(od, xd, arg, p0, p1, h, w, oh, ow, window, stride)
-	})
-}
-
-// maxPoolPlanes pools (image, channel) planes [p0, p1); planes are
-// independent, so the range shards freely.
-func maxPoolPlanes(od, xd []float64, arg []int, p0, p1, h, w, oh, ow, window, stride int) {
 	plane := oh * ow
-	for pc := p0; pc < p1; pc++ {
+	for pc := 0; pc < n*c; pc++ {
 		chBase := pc * h * w
 		oi := pc * plane
 		for oy := 0; oy < oh; oy++ {

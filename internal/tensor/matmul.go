@@ -5,11 +5,8 @@ import "fmt"
 // Matrix kernels. All three product shapes (a·b, aᵀ·b, a·bᵀ) come in
 // allocating, into, and (where the nn backward passes accumulate)
 // into-accumulate forms, plus a fused matmul+bias epilogue for the
-// dense/conv forward path. The into forms shard independent output rows
-// across the package worker pool (see parallel.go), and every output
-// element is one sum taken in ascending inner-index order with the bias
-// added last, so every variant is bit-deterministic at every
-// parallelism level.
+// dense/conv forward path. Every output element is one sum taken in
+// ascending inner-index order with the bias added last.
 //
 // Inside a row the loops are register-tiled so each value loaded feeds
 // four accumulators. Two loops may be tiled without touching any sum:
@@ -29,17 +26,13 @@ import "fmt"
 // golden fixtures (testdata/golden_runs.json, benchmark/golden) pin the
 // resulting bits. They are amd64 bits: the Go spec lets a compiler fuse
 // x*y + z into one rounding, which arm64 does and amd64 does not, so
-// another architecture may legitimately produce different fixtures
-// (still identical across parallelism levels there).
+// another architecture may legitimately produce different fixtures.
 //
-// Each kernel's sharded body is a named function — not a closure — and
-// the serial path calls it directly, so kernels allocate nothing when
-// Parallelism() is 1 or the matrix is below the sharding threshold.
-// Only the parallel dispatch spends a few words on coordination.
+// The kernels allocate nothing.
 
 // blockK is the inner-dimension tile of a·b and aᵀ·b: one tile of b
-// (blockK rows) stays resident in cache while a chunk of output rows
-// streams over it.
+// (blockK rows) stays resident in cache while the output rows stream
+// over it.
 const blockK = 256
 
 // matDims checks the operands of the product op — both 2-D, the inner
@@ -104,28 +97,17 @@ func matMulTransAInto(dst, a, b *Tensor, acc bool) {
 // mulAddInto computes dst = A·b (dst += A·b with acc) for the m×k matrix
 // A whose element (i, p) is ad[i*si+p*sp]: si, sp = k, 1 reads a
 // row-major a; si, sp = 1, m reads the transpose of a k×m a in place.
+// It is k-blocked so a tile of b stays cache-resident across the rows.
+// Row i takes A[i][p]·b[p] for ascending p. A zero A[i][p] adds nothing
+// — not the NaN of 0·Inf when b has diverged, not the +0 that would
+// turn a −0 already in dst positive — so zeros are dropped first and
+// the survivors go in four at a time: a gradient that came through a
+// ReLU is half zeros and still fills its groups. What reaches each
+// element is exactly the naive i-p-j loop's sum.
 func mulAddInto(dd, ad, bd []float64, m, k, n, si, sp int, acc bool) {
-	if runSerial(m * n * k) {
-		mulAddRows(dd, ad, bd, 0, m, k, n, si, sp, acc)
-		return
-	}
-	parallelFor(m, rowGrain(m, 2*n*k), func(i0, i1 int) {
-		mulAddRows(dd, ad, bd, i0, i1, k, n, si, sp, acc)
-	})
-}
-
-// mulAddRows computes output rows [i0, i1) of mulAddInto, k-blocked so
-// a tile of b stays cache-resident across the row chunk. Row i takes
-// A[i][p]·b[p] for ascending p. A zero A[i][p] adds nothing — not the
-// NaN of 0·Inf when b has diverged, not the +0 that would turn a −0
-// already in dst positive — so zeros are dropped first and the
-// survivors go in four at a time: a gradient that came through a ReLU
-// is half zeros and still fills its groups. What reaches each element
-// is exactly the naive i-p-j loop's sum.
-func mulAddRows(dd, ad, bd []float64, i0, i1, k, n, si, sp int, acc bool) {
 	for p0 := 0; p0 < k; p0 += blockK {
 		p1 := min(p0+blockK, k)
-		for i := i0; i < i1; i++ {
+		for i := 0; i < m; i++ {
 			drow := dd[i*n : (i+1)*n]
 			if p0 == 0 && !acc {
 				clear(drow)
@@ -147,18 +129,9 @@ func mulAddRows(dd, ad, bd []float64, i0, i1, k, n, si, sp int, acc bool) {
 				}
 			}
 			for q := 0; q < c; q++ {
-				axpy(drow, bd[bv[q]:], av[q])
+				VecAxpy(drow, av[q], bd[bv[q]:bv[q]+n])
 			}
 		}
-	}
-}
-
-// axpy adds a·b[j] to every d[j]. It is VecAxpy's serial loop: VecAxpy
-// itself may shard, which a kernel-pool task must not (see parallel.go).
-func axpy(d, b []float64, a float64) {
-	b = b[:len(d)]
-	for j := range d {
-		d[j] += a * b[j]
 	}
 }
 
@@ -166,7 +139,7 @@ func axpy(d, b []float64, a float64) {
 // a[0..3], to d in one pass; each d[j] takes its four terms left to
 // right, as four axpy calls would give it, but is loaded and stored
 // once. Slicing every row to len(d) lets the compiler drop the bounds
-// checks in the loop. Inlined into mulAddRows the loop's five pointers
+// checks in the loop. Inlined into mulAddInto the loop's five pointers
 // and four scalars spill to the stack and it runs at half the speed.
 //
 //go:noinline
@@ -201,21 +174,10 @@ func MatMulTransBBiasInto(dst, a, b, bias *Tensor) {
 func matMulTransBInto(dst, a, b *Tensor, bias []float64) {
 	m, k, n := matDims("MatMulTransBInto", a, b, false, true)
 	mustShape("MatMulTransBInto dst", dst, m, n)
+	// Contiguous dot products, four columns at a time, each summed in
+	// ascending p order with its bias added after the sum is complete.
 	ad, bd, dd := a.data, b.data, dst.data
-	if runSerial(m * n * k) {
-		matMulTransBRows(dd, ad, bd, bias, 0, m, k, n)
-		return
-	}
-	parallelFor(m, rowGrain(m, 2*n*k), func(i0, i1 int) {
-		matMulTransBRows(dd, ad, bd, bias, i0, i1, k, n)
-	})
-}
-
-// matMulTransBRows computes output rows [i0, i1) of dst = a·bᵀ (+bias):
-// contiguous dot products, four columns at a time, each summed in
-// ascending p order with its bias added after the sum is complete.
-func matMulTransBRows(dd, ad, bd, bias []float64, i0, i1, k, n int) {
-	for i := i0; i < i1; i++ {
+	for i := 0; i < m; i++ {
 		arow := ad[i*k : (i+1)*k]
 		drow := dd[i*n : (i+1)*n]
 		j := 0
@@ -233,8 +195,9 @@ func matMulTransBRows(dd, ad, bd, bias []float64, i0, i1, k, n int) {
 	}
 }
 
-// dot returns Σ a[p]·b[p], summed from zero in ascending p (VecDot sums
-// by chunks, a different order, and may shard).
+// dot returns Σ a[p]·b[p], summed from zero in ascending p. VecDot is
+// not a substitute: it sums by vecGrain chunks, a different order once
+// k exceeds one chunk.
 func dot(a, b []float64) float64 {
 	b = b[:len(a)]
 	s := 0.0
@@ -307,30 +270,17 @@ func SumRowsInto(dst, a *Tensor) {
 
 // SumRowsAccInto computes dst += column sums of the m×n matrix a, the
 // bias-gradient reduction (dB += Σ_batch grad). Rows accumulate in
-// ascending order per column regardless of parallelism.
+// ascending order per column.
 func SumRowsAccInto(dst, a *Tensor) {
 	if a.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: SumRowsAccInto needs a 2-D tensor, got %v", a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
 	mustShape("SumRowsAccInto dst", dst, n)
-	ad, dd := a.data, dst.data
-	if runSerial(m * n * 8) {
-		sumRowsCols(dd, ad, 0, n, m, n)
-		return
-	}
-	parallelFor(n, rowGrain(n, 2*m), func(j0, j1 int) {
-		sumRowsCols(dd, ad, j0, j1, m, n)
-	})
-}
-
-// sumRowsCols accumulates columns [j0, j1) of the column-sum reduction,
-// traversing rows in ascending order.
-func sumRowsCols(dd, ad []float64, j0, j1, m, n int) {
+	dd := dst.data
 	for i := 0; i < m; i++ {
-		row := ad[i*n : (i+1)*n]
-		for j := j0; j < j1; j++ {
-			dd[j] += row[j]
+		for j, v := range a.data[i*n : (i+1)*n] {
+			dd[j] += v
 		}
 	}
 }

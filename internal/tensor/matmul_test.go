@@ -261,9 +261,8 @@ func checkKernelBits(t *testing.T, label string, forms map[string][2][]float64) 
 
 // The tiled kernels must give the reference loops' bits, element for
 // element, on shapes that hit every tile remainder (1–3 leftover
-// columns or inner indices), the blockK seam (k = 257, 513) and both
-// sides of the sharding threshold, with half of a exactly zero — what
-// a gradient looks like after a ReLU — serially and sharded.
+// columns or inner indices) and the blockK seam (k = 257, 513), with
+// half of a exactly zero — what a gradient looks like after a ReLU.
 func TestKernelsMatchReferenceBits(t *testing.T) {
 	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 257, 513}
 	rng := rand.New(rand.NewSource(21))
@@ -286,7 +285,7 @@ func TestKernelsMatchReferenceBits(t *testing.T) {
 			shapes = append(shapes, s)
 		}
 	}
-	shapes = append(shapes, [3]int{65, 513, 9}, [3]int{9, 257, 65}) // the seam, sharded, whatever the draw
+	shapes = append(shapes, [3]int{65, 513, 9}, [3]int{9, 257, 65}) // the seam, whatever the draw
 	fill := func(n int, zeros float64) []float64 {
 		v := make([]float64, n)
 		for i := range v {
@@ -299,11 +298,7 @@ func TestKernelsMatchReferenceBits(t *testing.T) {
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a, b, bias, start := fill(m*k, 0.5), fill(k*n, 0), fill(n, 0), fill(m*n, 0)
-		for _, par := range []int{1, 4} {
-			withParallelism(t, par, func() {
-				checkKernelBits(t, fmt.Sprintf("%dx%dx%d par %d", m, k, n, par), kernelForms(m, k, n, a, b, bias, start))
-			})
-		}
+		checkKernelBits(t, fmt.Sprintf("%dx%dx%d", m, k, n), kernelForms(m, k, n, a, b, bias, start))
 	}
 }
 
@@ -342,52 +337,45 @@ func TestKernelsZeroSkipBits(t *testing.T) {
 	for j := 0; j < n; j++ {
 		start[n+j] = negZero
 	}
-	for _, par := range []int{1, 4} {
-		withParallelism(t, par, func() {
-			forms := kernelForms(m, k, n, a, b, bias, start)
-			checkKernelBits(t, fmt.Sprintf("par %d", par), forms)
-			for _, name := range []string{"MatMulInto", "MatMulTransAInto", "MatMulTransAAccInto"} {
-				for j, v := range forms[name][0][:n] {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						t.Errorf("%s: row 0 element %d = %v; a skipped zero let a non-finite b through", name, j, v)
-					}
-				}
+	forms := kernelForms(m, k, n, a, b, bias, start)
+	checkKernelBits(t, "zero skip", forms)
+	for _, name := range []string{"MatMulInto", "MatMulTransAInto", "MatMulTransAAccInto"} {
+		for j, v := range forms[name][0][:n] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Errorf("%s: row 0 element %d = %v; a skipped zero let a non-finite b through", name, j, v)
 			}
-			if v := forms["MatMulTransBInto"][0][0]; !math.IsNaN(v) {
-				t.Errorf("MatMulTransBInto: 0·Inf summed to %v, want NaN (this form never skipped zeros)", v)
-			}
-			if v := forms["MatMulTransAAccInto"][0][n]; !math.Signbit(v) || v != 0 {
-				t.Errorf("MatMulTransAAccInto: −0 in dst became %v (signbit %v)", v, math.Signbit(v))
-			}
-			if v := forms["MatMulTransAInto"][0][n]; math.Signbit(v) || v != 0 {
-				t.Errorf("MatMulTransAInto: all-zero row gave %v (signbit %v), want +0", v, math.Signbit(v))
-			}
-		})
+		}
+	}
+	if v := forms["MatMulTransBInto"][0][0]; !math.IsNaN(v) {
+		t.Errorf("MatMulTransBInto: 0·Inf summed to %v, want NaN (this form never skipped zeros)", v)
+	}
+	if v := forms["MatMulTransAAccInto"][0][n]; !math.Signbit(v) || v != 0 {
+		t.Errorf("MatMulTransAAccInto: −0 in dst became %v (signbit %v)", v, math.Signbit(v))
+	}
+	if v := forms["MatMulTransAInto"][0][n]; math.Signbit(v) || v != 0 {
+		t.Errorf("MatMulTransAInto: all-zero row gave %v (signbit %v), want +0", v, math.Signbit(v))
 	}
 }
 
-// The kernels' serial paths allocate nothing: shape checks format only
-// when they fail, tile helpers take slices and pointers to stack
-// arrays, and no closure is built unless the work is sharded.
+// The kernels allocate nothing: shape checks format only when they
+// fail, and tile helpers take slices and pointers to stack arrays.
 func TestKernelsZeroAlloc(t *testing.T) {
-	withParallelism(t, 1, func() {
-		rng := rand.New(rand.NewSource(23))
-		for _, s := range [][3]int{{64, 32, 32}, {13, 261, 7}} { // tile-aligned; ragged and across the blockK seam
-			m, k, n := s[0], s[1], s[2]
-			a, at := RandNormal(rng, 0, 1, m, k), RandNormal(rng, 0, 1, k, m)
-			b, bt := RandNormal(rng, 0, 1, k, n), RandNormal(rng, 0, 1, n, k)
-			bias, dst := RandNormal(rng, 0, 1, n), New(m, n)
-			for name, fn := range map[string]func(){
-				"MatMulInto":           func() { MatMulInto(dst, a, b) },
-				"MatMulTransAInto":     func() { MatMulTransAInto(dst, at, b) },
-				"MatMulTransAAccInto":  func() { MatMulTransAAccInto(dst, at, b) },
-				"MatMulTransBInto":     func() { MatMulTransBInto(dst, a, bt) },
-				"MatMulTransBBiasInto": func() { MatMulTransBBiasInto(dst, a, bt, bias) },
-			} {
-				if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
-					t.Errorf("%s %dx%dx%d: %v allocs per call, want 0", name, m, k, n, allocs)
-				}
+	rng := rand.New(rand.NewSource(23))
+	for _, s := range [][3]int{{64, 32, 32}, {13, 261, 7}} { // tile-aligned; ragged and across the blockK seam
+		m, k, n := s[0], s[1], s[2]
+		a, at := RandNormal(rng, 0, 1, m, k), RandNormal(rng, 0, 1, k, m)
+		b, bt := RandNormal(rng, 0, 1, k, n), RandNormal(rng, 0, 1, n, k)
+		bias, dst := RandNormal(rng, 0, 1, n), New(m, n)
+		for name, fn := range map[string]func(){
+			"MatMulInto":           func() { MatMulInto(dst, a, b) },
+			"MatMulTransAInto":     func() { MatMulTransAInto(dst, at, b) },
+			"MatMulTransAAccInto":  func() { MatMulTransAAccInto(dst, at, b) },
+			"MatMulTransBInto":     func() { MatMulTransBInto(dst, a, bt) },
+			"MatMulTransBBiasInto": func() { MatMulTransBBiasInto(dst, a, bt, bias) },
+		} {
+			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
+				t.Errorf("%s %dx%dx%d: %v allocs per call, want 0", name, m, k, n, allocs)
 			}
 		}
-	})
+	}
 }

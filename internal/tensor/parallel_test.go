@@ -3,22 +3,9 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"reflect"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
-
-// withParallelism runs fn at the given kernel parallelism, restoring
-// the previous setting afterwards.
-func withParallelism(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := Parallelism()
-	SetParallelism(n)
-	defer SetParallelism(prev)
-	fn()
-}
 
 func bitsEqual(a, b *Tensor) bool {
 	if !a.SameShape(b) {
@@ -32,107 +19,41 @@ func bitsEqual(a, b *Tensor) bool {
 	return true
 }
 
-// Kernels must be bit-identical at every parallelism level: sharding
-// partitions independent rows and all reductions keep a fixed order.
-func TestKernelsBitDeterministicAcrossParallelism(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	// Odd sizes large enough to cross the serial threshold and split
-	// into several row chunks.
-	a := RandNormal(rng, 0, 1, 67, 129)
-	b := RandNormal(rng, 0, 1, 129, 83)
-	bt := Transpose(b) // 83×129, for TransB
-	at := Transpose(a) // 129×67, for TransA
-	bias := RandNormal(rng, 0, 1, 83)
-
-	type result struct{ mm, ta, tb, tbb, sr *Tensor }
-	compute := func() result {
-		var r result
-		r.mm = New(67, 83)
-		MatMulInto(r.mm, a, b)
-		r.ta = New(67, 83)
-		MatMulTransAInto(r.ta, at, b)
-		r.tb = New(67, 83)
-		MatMulTransBInto(r.tb, a, bt)
-		r.tbb = New(67, 83)
-		MatMulTransBBiasInto(r.tbb, a, bt, bias)
-		r.sr = New(129)
-		SumRowsInto(r.sr, a.Reshape(67, 129))
-		return r
-	}
-	var serial result
-	withParallelism(t, 1, func() { serial = compute() })
-	for _, p := range []int{2, 3, 8} {
-		var par result
-		withParallelism(t, p, func() { par = compute() })
-		if !bitsEqual(serial.mm, par.mm) {
-			t.Fatalf("MatMulInto differs at parallelism %d", p)
-		}
-		if !bitsEqual(serial.ta, par.ta) {
-			t.Fatalf("MatMulTransAInto differs at parallelism %d", p)
-		}
-		if !bitsEqual(serial.tb, par.tb) {
-			t.Fatalf("MatMulTransBInto differs at parallelism %d", p)
-		}
-		if !bitsEqual(serial.tbb, par.tbb) {
-			t.Fatalf("MatMulTransBBiasInto differs at parallelism %d", p)
-		}
-		if !bitsEqual(serial.sr, par.sr) {
-			t.Fatalf("SumRowsInto differs at parallelism %d", p)
-		}
-	}
-}
-
-func TestVecOpsBitDeterministicAcrossParallelism(t *testing.T) {
+// The reductions sum fixed vecGrain chunks and then the per-chunk
+// partials in chunk order; the golden fixtures and the evaluator's loss
+// bits pin that order. The reference below spells it out, and the data
+// is checked to tell it apart from one running sum over the whole
+// vector, so collapsing the chunks fails here.
+func TestVecReduceSumsFixedChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	n := 3*vecGrain + 517 // several chunks plus a ragged tail
-	mk := func() []float64 {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		return v
+	x, y := make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
-	x, y, z := mk(), mk(), mk()
-	vecs := [][]float64{x, y, z}
-	weights := []float64{0.2, 0.5, 0.3}
-
-	type result struct {
-		mean, wsum, lerp []float64
-		dot, dist        float64
-	}
-	compute := func() result {
-		var r result
-		r.mean = make([]float64, n)
-		VecMeanInto(r.mean, vecs)
-		r.wsum = make([]float64, n)
-		VecWeightedSumInto(r.wsum, vecs, weights)
-		r.lerp = make([]float64, n)
-		VecLerpInto(r.lerp, x, y, 0.7)
-		r.dot = VecDot(x, y)
-		r.dist = VecSquaredDistance(x, y)
-		return r
-	}
-	var serial result
-	withParallelism(t, 1, func() { serial = compute() })
-	for _, p := range []int{2, 5} {
-		var par result
-		withParallelism(t, p, func() { par = compute() })
-		for i := range serial.mean {
-			if math.Float64bits(serial.mean[i]) != math.Float64bits(par.mean[i]) {
-				t.Fatalf("VecMeanInto differs at parallelism %d, index %d", p, i)
+	for _, tc := range []struct {
+		name string
+		got  float64
+		term func(i int) float64
+	}{
+		{"VecSum", VecSum(x), func(i int) float64 { return x[i] }},
+		{"VecDot", VecDot(x, y), func(i int) float64 { return x[i] * y[i] }},
+		{"VecSquaredDistance", VecSquaredDistance(x, y), func(i int) float64 { d := x[i] - y[i]; return d * d }},
+	} {
+		chunked, flat := 0.0, 0.0
+		for lo := 0; lo < n; lo += vecGrain {
+			part := 0.0
+			for i := lo; i < min(lo+vecGrain, n); i++ {
+				part += tc.term(i)
+				flat += tc.term(i)
 			}
-			if math.Float64bits(serial.wsum[i]) != math.Float64bits(par.wsum[i]) {
-				t.Fatalf("VecWeightedSumInto differs at parallelism %d, index %d", p, i)
-			}
-			if math.Float64bits(serial.lerp[i]) != math.Float64bits(par.lerp[i]) {
-				t.Fatalf("VecLerpInto differs at parallelism %d, index %d", p, i)
-			}
+			chunked += part
 		}
-		if math.Float64bits(serial.dot) != math.Float64bits(par.dot) {
-			t.Fatalf("VecDot differs at parallelism %d", p)
+		if math.Float64bits(chunked) == math.Float64bits(flat) {
+			t.Fatalf("%s: the data cannot tell chunked from flat summation", tc.name)
 		}
-		if math.Float64bits(serial.dist) != math.Float64bits(par.dist) {
-			t.Fatalf("VecSquaredDistance differs at parallelism %d", p)
+		if math.Float64bits(tc.got) != math.Float64bits(chunked) {
+			t.Errorf("%s = %v, per-chunk reference %v (flat sum %v)", tc.name, tc.got, chunked, flat)
 		}
 	}
 }
@@ -240,82 +161,20 @@ func TestSetParallelismClamps(t *testing.T) {
 	}
 }
 
-// Concurrently is the one level of parallelism above the kernels: every
-// worker runs, and the kernels under them stay off the pool. The serial
-// path is the one that allocates nothing, so allocations tell the two
-// paths apart without a hook in the kernels.
-func TestConcurrentlyKeepsKernelsSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := RandNormal(rng, 0, 1, 67, 129)
-	b := RandNormal(rng, 0, 1, 129, 83)
-	dst := New(67, 83)
-	x := make([]float64, 3*vecGrain+517)
-	y := RandNormal(rng, 0, 1, len(x)).Data()
-	kernels := func() {
-		MatMulInto(dst, a, b)
-		VecAxpy(x, 0.5, y)
-	}
-	withParallelism(t, 4, func() {
-		kernels()
-		if outside := testing.AllocsPerRun(10, kernels); outside == 0 {
-			t.Fatal("kernels outside a region did not shard at parallelism 4")
-		}
-		sharded := dst.Clone()
-
-		var ran [3]atomic.Bool
-		inside := -1.0
-		Concurrently(len(ran), func(w int) {
-			ran[w].Store(true)
-			if w == 0 {
-				inside = testing.AllocsPerRun(10, kernels)
-			}
-		})
+// Concurrently runs every worker exactly once and returns after all of
+// them.
+func TestConcurrentlyRunsEveryWorker(t *testing.T) {
+	for _, n := range []int{0, 1, 3} {
+		var ran [3]atomic.Int32
+		Concurrently(n, func(w int) { ran[w].Add(1) })
 		for w := range ran {
-			if !ran[w].Load() {
-				t.Fatalf("worker %d did not run", w)
+			want := int32(0)
+			if w < max(n, 1) {
+				want = 1
+			}
+			if got := ran[w].Load(); got != want {
+				t.Fatalf("n=%d: worker %d ran %d times, want %d", n, w, got, want)
 			}
 		}
-		if inside != 0 {
-			t.Fatalf("kernels inside a region allocated %.1f times per call, want the serial path's 0", inside)
-		}
-		if !bitsEqual(sharded, dst) {
-			t.Fatal("MatMulInto differs between the sharded and the in-region serial path")
-		}
-		if regions.Load() != 0 {
-			t.Fatalf("region count %d after the join", regions.Load())
-		}
-		if again := testing.AllocsPerRun(10, kernels); again == 0 {
-			t.Fatal("kernels did not shard again after the region ended")
-		}
-	})
-}
-
-// A kernel that passed its serial check just before models started
-// computing side by side reaches parallelFor inside the region. It must
-// then walk the same chunks alone: vecReduce sums per-chunk partials,
-// so one big chunk would move its bits.
-func TestParallelForKeepsChunksInsideRegion(t *testing.T) {
-	withParallelism(t, 4, func() {
-		const n, grain = 3*64 + 5, 64
-		chunked := func() (bounds [][2]int) {
-			var mu sync.Mutex
-			parallelFor(n, grain, func(lo, hi int) {
-				mu.Lock()
-				bounds = append(bounds, [2]int{lo, hi})
-				mu.Unlock()
-			})
-			sort.Slice(bounds, func(i, j int) bool { return bounds[i][0] < bounds[j][0] })
-			return bounds
-		}
-		outside := chunked()
-		var inside [][2]int
-		Concurrently(2, func(w int) {
-			if w == 0 {
-				inside = chunked()
-			}
-		})
-		if len(outside) != 4 || !reflect.DeepEqual(inside, outside) {
-			t.Fatalf("chunks inside a region %v, outside %v; want the same four", inside, outside)
-		}
-	})
+	}
 }

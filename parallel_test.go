@@ -9,10 +9,10 @@ import (
 
 // The determinism contract behind Canonical/Fingerprint excluding
 // Parallelism: for a fixed seed, the concurrent runner (devices
-// training concurrently inside a round) and the parallel tensor
-// kernels must produce byte-identical final parameters and training
+// training concurrently inside a round) and the evaluator's scoring
+// replicas must produce byte-identical final parameters and training
 // curves at every parallelism level, for every registered scheme: (1
-// device at a time, 1 kernel executor) against (2, 2) and (4, 4).
+// device at a time, 1 scoring replica) against (2, 2) and (4, 4).
 // make test-race runs this under the race detector, which also
 // exercises the concurrent phase for data races.
 func TestParallelDeterminism(t *testing.T) {
@@ -35,8 +35,8 @@ func TestParallelDeterminism(t *testing.T) {
 	for _, scheme := range Schemes() {
 		t.Run(scheme, func(t *testing.T) {
 			seq := run(t, scheme, 1)
-			// 2 devices over a 2-wide kernel pool is what the reference
-			// host runs by default; 4 over 4 oversubscribes it.
+			// 2 devices and 2 scoring replicas is what the reference
+			// host runs by default; 4 and 4 oversubscribes it.
 			for _, p := range []int{2, 4} {
 				par := run(t, scheme, p)
 				if len(seq.FinalParams) != len(par.FinalParams) {
