@@ -78,7 +78,6 @@ func run(args []string, out, errOut io.Writer, ready chan<- net.Addr, quit <-cha
 		dispatchTo = fs.String("dispatch", "", "comma-separated hadfl-worker addresses to execute runs on (empty = run locally); the i-th address must be the worker started with -id i")
 		dispAddr   = fs.String("dispatch-listen", "127.0.0.1:0", "p2p listen address for worker replies (with -dispatch)")
 		dispWait   = fs.Duration("dispatch-wait", 3*time.Second, "how long to wait at boot for workers to register (with -dispatch)")
-		wireCodec  = fs.String("wire-codec", "", "preferred parameter wire codec for dispatched results: raw64 (default, bit-exact), f32, delta or topk; workers not advertising it fall back to raw64")
 		breakerN   = fs.Int("breaker-threshold", 5, "consecutive transient failures that open a worker's circuit breaker (0 = breaker off)")
 		breakerCD  = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker waits before a half-open trial job is admitted")
 		retryBO    = fs.Duration("retry-backoff", 50*time.Millisecond, "base jittered delay between retry attempts of one job, doubling per retry (0 = no backoff)")
@@ -130,7 +129,6 @@ func run(args []string, out, errOut io.Writer, ready chan<- net.Addr, quit <-cha
 			Transport:        node,
 			Workers:          ids,
 			ReplyAddr:        node.Addr(),
-			Codec:            *wireCodec,
 			BreakerThreshold: breakerThreshold,
 			BreakerCooldown:  *breakerCD,
 			RetryBackoff:     retryBackoff,

@@ -28,7 +28,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -65,7 +64,6 @@ func run(args []string, out, errOut io.Writer, ready chan<- string, quit <-chan 
 		id        = fs.Int("id", 1, "worker node id (position in the dispatcher's -dispatch list, 1-based)")
 		capacity  = fs.Int("capacity", 1, "concurrent dispatched runs before busy-rejecting")
 		tpar      = fs.Int("tensor-workers", 0, "scoring replicas per evaluation (0 = GOMAXPROCS)")
-		wireCodec = fs.String("wire-codec", "", "comma-separated parameter wire codecs to advertise, in preference order (empty = all registered; raw64 is always included)")
 		httpAddr  = fs.String("http", "", "observability HTTP listen address serving /metrics, /debug/traces and /healthz (empty = disabled)")
 		logLevel  = fs.String("log-level", "warn", "structured log threshold: debug, info, warn, error, or off")
 		withPprof = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (with -http)")
@@ -95,17 +93,10 @@ func run(args []string, out, errOut io.Writer, ready chan<- string, quit <-chan 
 		return err
 	}
 	defer node.Close()
-	var codecs []string
-	if *wireCodec != "" {
-		for _, name := range strings.Split(*wireCodec, ",") {
-			codecs = append(codecs, strings.TrimSpace(name))
-		}
-	}
 	w, err := dispatch.NewWorker(dispatch.WorkerConfig{
 		Transport: node,
 		Capacity:  *capacity,
 		AddPeer:   node.AddPeer,
-		Codecs:    codecs,
 		Metrics:   reg,
 		Tracer:    tracer,
 		Logger:    logger,

@@ -70,12 +70,10 @@ var canonicalNames = map[string]string{
 	"dispatch_rtt_seconds":           "histogram: request-to-terminal-frame round trip per attempt",
 	"dispatch_result_frame_bytes":    "histogram: result body size on the wire (reassembled when chunk-streamed)",
 
-	// dispatch wire codecs + chunk streaming
-	"dispatch_wire_raw_bytes_total":       "parameter bytes results would have shipped as raw64",
-	"dispatch_wire_encoded_bytes_total":   "parameter bytes results actually shipped after codec encoding",
+	// dispatch result parameters + chunk streaming
+	"dispatch_wire_raw_bytes_total":       "parameter bytes dispatched results shipped as raw64",
 	"dispatch_wire_chunks_total":          "chunk frames received on the dispatch wire",
 	"dispatch_wire_chunked_results_total": "terminal frames that arrived as chunk streams",
-	"dispatch_wire_lossy_results_total":   "dispatched results whose codec reported an inexact decode",
 
 	// dispatch resilience: circuit breakers, retry backoff, hedging
 	"dispatch_breaker_open_total":     "breaker trips: consecutive transient faults (or a failed half-open trial) opened a worker's circuit",
@@ -109,7 +107,6 @@ var canonicalNames = map[string]string{
 // registration site).
 var canonicalPrefixes = map[string]string{
 	"runs_scheme_":          "jobs started per scheme (suffix: sanitized scheme name)",
-	"dispatch_wire_codec_":  "dispatched results decoded per wire codec (suffix: sanitized codec name)",
 	"http_request_seconds_": "histogram: request latency per HTTP endpoint (suffix: sanitized method+route)",
 }
 

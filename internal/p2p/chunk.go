@@ -18,10 +18,9 @@ import (
 //	          uint64 total body length | uint32 CRC-32 (IEEE) of the
 //	          whole body, little-endian
 //
-// A terminal frame with Chunk=0 is the monolithic single-frame body
-// every sender used before chunking existed, so the two generations
-// interoperate: receivers dispatch on the Chunk field, and senders only
-// stream to peers that negotiated a modern exchange.
+// A terminal frame with Chunk=0 is the single-frame form: its body is
+// the whole body. Receivers dispatch on the Chunk field; senders choose
+// by body size alone.
 //
 // Bounds: each chunk body obeys MaxDispatchBody like any other frame
 // (the per-chunk bound UnpackBytes enforces), and a reassembled stream

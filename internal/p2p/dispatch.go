@@ -15,7 +15,7 @@ import (
 // values and whose opaque body (JSON at the protocol layer above) is
 // byte-packed into the float64 Payload:
 //
-//	Version — DispatchVersion (protocol major version; receivers
+//	Version — DispatchVersion (frame layout version; receivers
 //	          reject mismatches rather than guessing at layouts)
 //	Round   — the dispatcher-assigned sequence number identifying the
 //	          in-flight run the frame belongs to
@@ -27,9 +27,11 @@ import (
 // or oversized frames return errors, never panic — the fuzz targets in
 // fuzz_test.go pin that contract.
 
-// DispatchVersion is the dispatch protocol version stamped on every
-// frame. Bump it on any incompatible body or layout change; receivers
-// reject other versions with ErrDispatchVersion.
+// DispatchVersion versions the dispatch frame layout stamped on every
+// frame (the fields above, byte packing, chunk trailers). Bump it on
+// any incompatible layout change; receivers reject other versions with
+// ErrDispatchVersion. Dispatch bodies carry their own protocol
+// version in their "proto" field.
 const DispatchVersion = 1
 
 // MaxDispatchBody bounds the body of a single dispatch frame (16 MiB).

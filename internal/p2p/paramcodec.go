@@ -11,21 +11,18 @@ import (
 	"sync"
 )
 
-// Parameter wire codecs: pluggable encodings for the flat float64
-// parameter vectors the dispatch plane ships home. A codec turns a
-// vector into an opaque byte section (and back), optionally encoding
-// against a reference vector both ends can derive — for dispatch, the
-// run's deterministic initial model. Codecs self-report exactness per
-// encode: raw64 and delta always reproduce the input bit for bit, f32
-// and topk only when the input happens to survive (every value
-// f32-round-trips, every dropped delta is exactly zero), and the
-// receiver can use the bit to tell authoritative results from lossy
-// approximations.
+// Parameter codecs: encodings for flat float64 parameter vectors. A
+// codec turns a vector into an opaque byte section (and back),
+// optionally encoding against a reference vector both ends can derive.
+// Codecs self-report exactness per encode: raw64 and delta always
+// reproduce the input bit for bit, f32 and topk only when the input
+// happens to survive (every value f32-round-trips, every dropped delta
+// is exactly zero).
 //
-// The registry is process-level like the scheme registry: built-ins
-// register at init, names are the negotiation currency (a worker
-// advertises its codec names in the hello frame, the dispatcher picks
-// one per job, unknown names fall back to raw64).
+// Only raw64 rides the dispatch wire (AppendRaw64 / DecodeRaw64): every
+// dispatched result carries its parameter vector as a raw64 section.
+// The other codecs remain for the benchmark's p2p.codec_* probes and
+// FuzzCodecDecode; nothing negotiates them.
 
 // Built-in codec names.
 const (
@@ -37,7 +34,7 @@ const (
 
 // ParamCodec encodes parameter vectors for the wire.
 type ParamCodec interface {
-	// Name is the codec's registry and negotiation identity.
+	// Name is the codec's registry identity.
 	Name() string
 	// UsesRef reports whether Encode/Decode consult the reference
 	// vector; callers skip deriving one for codecs that ignore it.
@@ -86,7 +83,7 @@ func ParamCodecByName(name string) (ParamCodec, bool) {
 }
 
 // ParamCodecNames returns every registered codec name in registration
-// order (raw64 first — the fallback every fleet shares).
+// order (raw64 first).
 func ParamCodecNames() []string {
 	paramCodecMu.RLock()
 	defer paramCodecMu.RUnlock()
@@ -120,19 +117,34 @@ func (raw64Codec) Name() string  { return ParamCodecRaw64 }
 func (raw64Codec) UsesRef() bool { return false }
 
 func (raw64Codec) Encode(params, _ []float64) ([]byte, bool) {
-	data := make([]byte, 8*len(params))
-	for i, v := range params {
-		binary.LittleEndian.PutUint64(data[i*8:], math.Float64bits(v))
-	}
-	return data, true
+	return AppendRaw64(make([]byte, 0, 8*len(params)), params), true
 }
 
 func (raw64Codec) Decode(data []byte, _ []float64, count int) ([]float64, error) {
+	return DecodeRaw64(data, count)
+}
+
+// AppendRaw64 appends params' raw64 section to dst: 8 bytes per value,
+// little-endian IEEE-754 bits.
+func AppendRaw64(dst []byte, params []float64) []byte {
+	for _, v := range params {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// DecodeRaw64 rebuilds a count-length vector from a raw64 section. A
+// zero count decodes to nil, so an empty vector and a missing one
+// arrive alike.
+func DecodeRaw64(data []byte, count int) ([]float64, error) {
 	if err := checkCount(count); err != nil {
 		return nil, err
 	}
 	if len(data) != 8*count {
 		return nil, fmt.Errorf("p2p: raw64 section is %d bytes, want %d for %d params", len(data), 8*count, count)
+	}
+	if count == 0 {
+		return nil, nil
 	}
 	out := make([]float64, count)
 	for i := range out {

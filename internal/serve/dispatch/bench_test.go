@@ -33,45 +33,6 @@ func BenchmarkDispatchLocal(b *testing.B) {
 	}
 }
 
-// BenchmarkWireCodec measures bytes-on-wire per parameter codec for
-// one reference job: the tiny benchmark run's trained parameter vector
-// encoded against its own initial model (the reference both ends of
-// the dispatch wire derive independently). wire-B vs raw-B is what the
-// codec buys (BENCHMARK.json: p2p.codec_wire_ratio.<codec>).
-func BenchmarkWireCodec(b *testing.B) {
-	opts := benchOpts()
-	res, err := localRunner(context.Background(), hadfl.SchemeHADFL, opts, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ref, err := hadfl.InitialParams(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	raw := float64(8 * len(res.FinalParams))
-	for _, name := range p2p.ParamCodecNames() {
-		codec, _ := p2p.ParamCodecByName(name)
-		b.Run(name, func(b *testing.B) {
-			var r []float64
-			if codec.UsesRef() {
-				r = ref
-			}
-			var wire int
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				section, _ := codec.Encode(res.FinalParams, r)
-				if _, err := codec.Decode(section, r, len(res.FinalParams)); err != nil {
-					b.Fatal(err)
-				}
-				wire = len(section)
-			}
-			b.ReportMetric(float64(wire), "wire-B")
-			b.ReportMetric(raw, "raw-B")
-			b.ReportMetric(float64(wire)/raw, "wire-ratio")
-		})
-	}
-}
-
 func BenchmarkDispatchSimnet(b *testing.B) {
 	hub := p2p.NewChanHub()
 	w, err := NewWorker(WorkerConfig{Transport: hub.Node(1), RecvTimeout: 5 * time.Millisecond})

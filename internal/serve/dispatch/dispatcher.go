@@ -32,12 +32,6 @@ type Config struct {
 	// Default: the scheme registry in-process, so a dispatcher with no
 	// reachable workers behaves exactly like the plain local pool.
 	Local Runner
-	// Codec is the preferred parameter wire codec for dispatched
-	// results (see p2p.ParamCodecNames). A worker that does not
-	// advertise it gets raw64; a worker advertising nothing (legacy)
-	// gets the inline-JSON exchange. Default raw64 — bit-exact, so the
-	// byte-determinism contract is untouched by default.
-	Codec string
 	// HeartbeatEvery is the liveness probe period. Default 500ms.
 	HeartbeatEvery time.Duration
 	// LivenessGrace is how long a worker may stay silent before it is
@@ -95,7 +89,6 @@ type workerState struct {
 	alive    bool
 	seen     time.Time // last frame proving a compatible worker
 	capacity int       // from its hello ack; 0 = unknown (treated as 1)
-	codecs   []string  // param codecs from its hello ack; empty = legacy
 	inflight int
 	probing  bool // a heartbeat/hello send is in flight to it
 
@@ -111,9 +104,9 @@ type workerState struct {
 // outcome is a terminal frame routed to a waiting call. corrupt marks
 // a frame that failed to decode: it proves nothing about the run, so
 // the attempt is retried like a lost worker rather than failing the
-// job. paramData is the split body's still-encoded parameter section;
-// the waiting call decodes it in finish() so a multi-megabyte (or
-// reference-deriving) decode never stalls recvLoop's frame routing.
+// job. paramData is the split body's still-encoded raw64 section; the
+// waiting call decodes it in finish() so a multi-megabyte decode never
+// stalls recvLoop's frame routing.
 type outcome struct {
 	res       *resultBody
 	errb      *errorBody
@@ -202,11 +195,6 @@ func New(cfg Config) (*Dispatcher, error) {
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = trace.NopLogger()
-	}
-	if cfg.Codec == "" {
-		cfg.Codec = p2p.ParamCodecRaw64
-	} else if _, ok := p2p.ParamCodecByName(cfg.Codec); !ok {
-		return nil, fmt.Errorf("dispatch: unknown param codec %q (have %v)", cfg.Codec, p2p.ParamCodecNames())
 	}
 	// Resilience knobs: zero means default, negative means disabled
 	// (normalized to 0 here so the rest of the code tests > 0).
@@ -339,11 +327,8 @@ func (d *Dispatcher) recvLoop() {
 			}
 			d.mu.Lock()
 			d.refreshLocked(m.From)
-			if ws := d.workers[m.From]; ws != nil {
-				if h.Capacity > 0 {
-					ws.capacity = h.Capacity
-				}
-				ws.codecs = h.Codecs
+			if ws := d.workers[m.From]; ws != nil && h.Capacity > 0 {
+				ws.capacity = h.Capacity
 			}
 			d.mu.Unlock()
 		case p2p.KindDispatchRound:
@@ -373,19 +358,18 @@ func (d *Dispatcher) recvLoop() {
 			var o outcome
 			body, err := d.terminalBody(m)
 			if err == nil {
-				var jsonData []byte
-				jsonData, o.paramData, err = decodeSplitBody(body)
-				if err == nil {
-					if m.Kind == p2p.KindDispatchResult {
-						// The body's full size on the wire — reassembled
-						// when it arrived as a chunk stream.
-						d.reg.ObserveBytes("dispatch_result_frame_bytes", float64(len(body)))
+				if m.Kind == p2p.KindDispatchResult {
+					// The body's full size on the wire — reassembled when
+					// it arrived as a chunk stream.
+					d.reg.ObserveBytes("dispatch_result_frame_bytes", float64(len(body)))
+					var jsonData []byte
+					if jsonData, o.paramData, err = decodeSplitBody(body); err == nil {
 						o.res = &resultBody{}
 						err = json.Unmarshal(jsonData, o.res)
-					} else {
-						o.errb = &errorBody{}
-						err = json.Unmarshal(jsonData, o.errb)
 					}
+				} else {
+					o.errb = &errorBody{}
+					err = json.Unmarshal(body, o.errb)
 				}
 			}
 			if err != nil {
@@ -479,7 +463,7 @@ func (d *Dispatcher) addChunk(m p2p.Message) {
 }
 
 // terminalBody yields a terminal frame's complete body: the frame's
-// own body when monolithic (Chunk=0, the legacy shape), otherwise the
+// own body in the single-frame form (Chunk=0), otherwise the
 // reassembled stream the frame's trailer closes and checksums. Either
 // way the sequence's stream entry is retired.
 func (d *Dispatcher) terminalBody(m p2p.Message) ([]byte, error) {
@@ -759,7 +743,6 @@ func (d *Dispatcher) runOn(ctx context.Context, ws *workerState, fp, scheme stri
 		down:   make(chan struct{}),
 	}
 	d.pending[seq] = c
-	codec := chooseCodec(d.cfg.Codec, ws.codecs)
 	d.mu.Unlock()
 	defer func() {
 		d.mu.Lock()
@@ -772,8 +755,7 @@ func (d *Dispatcher) runOn(ctx context.Context, ws *workerState, fp, scheme stri
 		d.mu.Unlock()
 	}()
 
-	req := requestBody{Proto: proto, Token: d.token, JobID: fp, Scheme: scheme, Options: opts, Codec: codec}
-	span.SetAttr("codec", codec)
+	req := requestBody{Proto: proto, Token: d.token, JobID: fp, Scheme: scheme, Options: opts}
 	if sc := span.Context(); sc.Valid() {
 		req.Trace = &wireTrace{TraceID: sc.TraceID, SpanID: sc.SpanID}
 	}
@@ -841,7 +823,7 @@ func (d *Dispatcher) runOn(ctx context.Context, ws *workerState, fp, scheme stri
 			select {
 			case o := <-c.done:
 				drainRounds()
-				return d.finish(ctx, ws, o, canceled, sent, opts)
+				return d.finish(ctx, ws, o, canceled, sent)
 			default:
 			}
 			// Best-effort cancel to the lost worker: if it was merely
@@ -855,7 +837,7 @@ func (d *Dispatcher) runOn(ctx context.Context, ws *workerState, fp, scheme stri
 			return nil, fmt.Errorf("dispatch: worker %d lost mid-run", ws.id), true
 		case o := <-c.done:
 			drainRounds()
-			return d.finish(ctx, ws, o, canceled, sent, opts)
+			return d.finish(ctx, ws, o, canceled, sent)
 		}
 	}
 }
@@ -864,7 +846,7 @@ func (d *Dispatcher) runOn(ctx context.Context, ws *workerState, fp, scheme stri
 // and classifies retryability. sent anchors the attempt's round-trip
 // histogram; the frame's shipped-home worker spans land in the tracer
 // here, stitching the remote half of the trace into the local ring.
-func (d *Dispatcher) finish(ctx context.Context, ws *workerState, o outcome, canceled bool, sent time.Time, opts hadfl.Options) (*hadfl.Result, error, bool) {
+func (d *Dispatcher) finish(ctx context.Context, ws *workerState, o outcome, canceled bool, sent time.Time) (*hadfl.Result, error, bool) {
 	d.reg.Observe("dispatch_rtt_seconds", d.now().Sub(sent).Seconds())
 	d.recordRemoteSpans(o)
 	if o.errb != nil {
@@ -891,68 +873,15 @@ func (d *Dispatcher) finish(ctx context.Context, ws *workerState, o outcome, can
 			return nil, fmt.Errorf("dispatch: worker %d: %s", ws.id, eb.Message), false
 		}
 	}
-	if err := d.decodeParams(o.res, o.paramData, opts); err != nil {
+	params, err := p2p.DecodeRaw64(o.paramData, o.res.ParamCount)
+	if err != nil {
 		// The section failed, not the run: reruns are deterministic and
-		// safe, so a torn or undecodable parameter exchange retries like
-		// a lost worker.
+		// safe, so a torn parameter exchange retries like a lost worker.
 		return nil, fmt.Errorf("dispatch: worker %d result params: %w", ws.id, err), true
 	}
+	d.reg.Add("dispatch_wire_raw_bytes_total", int64(len(o.paramData)))
 	d.reg.Inc("dispatch_remote_total")
-	return o.res.toResult(), nil, false
-}
-
-// chooseCodec negotiates the parameter wire codec for one request:
-// the dispatcher's preference if the worker advertised it, otherwise
-// raw64 (which every codec-speaking worker advertises), otherwise ""
-// — the legacy inline-JSON exchange for workers that advertised
-// nothing.
-func chooseCodec(preferred string, advertised []string) string {
-	raw := false
-	for _, name := range advertised {
-		if name == preferred {
-			return preferred
-		}
-		raw = raw || name == p2p.ParamCodecRaw64
-	}
-	if raw {
-		return p2p.ParamCodecRaw64
-	}
-	return ""
-}
-
-// decodeParams rebuilds a codec-path result's final parameter vector
-// from its still-encoded binary section — in the waiting call's
-// goroutine, never recvLoop's, because reference-based codecs derive
-// the run's initial model here and that must not stall frame routing.
-// Legacy bodies (no codec) pass through: their FinalParams came inline.
-func (d *Dispatcher) decodeParams(res *resultBody, paramData []byte, opts hadfl.Options) error {
-	if res.ParamCodec == "" {
-		return nil
-	}
-	codec, ok := p2p.ParamCodecByName(res.ParamCodec)
-	if !ok {
-		return fmt.Errorf("unknown param codec %q", res.ParamCodec)
-	}
-	var ref []float64
-	if codec.UsesRef() && res.ParamRef == paramRefInit {
-		r, err := hadfl.InitialParams(opts)
-		if err != nil {
-			return fmt.Errorf("derive %q reference: %w", res.ParamRef, err)
-		}
-		ref = r
-	}
-	params, err := codec.Decode(paramData, ref, res.ParamCount)
-	if err != nil {
-		return err
-	}
-	res.FinalParams = params
-	d.reg.Add("dispatch_wire_raw_bytes_total", int64(8*res.ParamCount))
-	d.reg.Add("dispatch_wire_encoded_bytes_total", int64(len(paramData)))
-	d.reg.Inc("dispatch_wire_codec_" + metrics.SanitizeName(res.ParamCodec) + "_total")
-	if !res.ParamExact {
-		d.reg.Inc("dispatch_wire_lossy_results_total")
-	}
-	return nil
+	return o.res.toResult(params), nil, false
 }
 
 // recordRemoteSpans lands the worker-side spans a terminal frame

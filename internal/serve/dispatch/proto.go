@@ -46,12 +46,10 @@
 // The worker re-derives the fingerprint from the request and rejects
 // mismatches, and every float64 crosses the wire exactly: summary and
 // curve values through Go's JSON shortest-round-trip encoding, the
-// final parameter vector through the negotiated p2p.ParamCodec — raw64
-// (the default) and delta are bit-exact, and every result body stamps
-// the codec's exactness bit so a deliberately lossy choice (f32, topk)
-// is visible, never silent. A dispatched run's summary, curve and
+// final parameter vector as the result body's raw64 section (its
+// little-endian IEEE-754 bits). A dispatched run's summary, curve and
 // final parameter vector are byte-identical to a local run of the same
-// request under any exact codec (pinned by the simnet e2e suite).
+// request (pinned by the simnet e2e suite).
 //
 // # Failure and fallback semantics
 //
@@ -79,8 +77,10 @@ import (
 
 // proto is the dispatch protocol version carried inside hello and
 // request bodies (the frame layer has its own p2p.DispatchVersion).
-// Workers reject requests from other protocol versions.
-const proto = 1
+// Workers reject hellos and requests from other protocol versions, so
+// a worker whose result bodies this dispatcher cannot read is refused
+// at registration rather than retried result by result.
+const proto = 2
 
 // helloBody rides registration probes (dispatcher → worker) and acks
 // (worker → dispatcher).
@@ -91,11 +91,6 @@ type helloBody struct {
 	ReplyAddr string `json:"replyAddr,omitempty"`
 	// Capacity is the worker's concurrent-run budget (ack direction).
 	Capacity int `json:"capacity,omitempty"`
-	// Codecs advertises the parameter wire codecs the worker can encode
-	// (ack direction), in its order of preference. An empty list marks a
-	// legacy worker: the dispatcher then requests no codec and the result
-	// comes back as one monolithic JSON frame with FinalParams inline.
-	Codecs []string `json:"codecs,omitempty"`
 }
 
 // requestBody asks a worker to execute one run.
@@ -118,14 +113,6 @@ type requestBody struct {
 	// JSON tags, the same bytes the serve API accepts); the progress
 	// callback never crosses — round telemetry flows back as round frames.
 	Options hadfl.Options `json:"options"`
-	// Codec names the parameter wire codec the worker should encode the
-	// final parameter vector with (chosen from the worker's advertised
-	// list). Empty means legacy: FinalParams inline in the JSON body, one
-	// monolithic frame. Non-empty doubles as the capability signal that
-	// this dispatcher reassembles split bodies and chunk streams; a
-	// worker that does not recognize the name falls back to raw64, never
-	// to legacy.
-	Codec string `json:"codec,omitempty"`
 	// Trace carries the dispatcher's span context so the worker's spans
 	// join the same trace (see wireTrace). Tracing is passive: this field
 	// never influences execution, and the byte-determinism oracle ignores
@@ -175,11 +162,6 @@ type roundBody struct {
 	Bypassed int     `json:"bypassed,omitempty"`
 }
 
-// paramRefInit is the ParamRef value naming the run's deterministic
-// initial parameter vector — both ends derive it independently with
-// hadfl.InitialParams, so reference-based codecs never ship it.
-const paramRefInit = "init"
-
 // resultBody is a terminal success: everything needed to rebuild the
 // hadfl.Result the run would have produced locally.
 type resultBody struct {
@@ -194,24 +176,10 @@ type resultBody struct {
 	EvalSeconds float64         `json:"evalSeconds,omitempty"`
 	CurveName   string          `json:"curveName,omitempty"`
 	Curve       []metrics.Point `json:"curve,omitempty"`
-	// FinalParams carries the final parameter vector inline on the
-	// legacy path only (request had no Codec). On the codec path it is
-	// empty and the vector travels as the split body's binary parameter
-	// section, described by the Param* fields below.
-	FinalParams []float64 `json:"finalParams,omitempty"`
-	// ParamCodec names the codec that encoded the binary parameter
-	// section; empty means FinalParams is inline (legacy).
-	ParamCodec string `json:"paramCodec,omitempty"`
-	// ParamCount is the encoded vector's length; the receiver validates
-	// it before allocating.
+	// ParamCount is the final parameter vector's length. The vector
+	// itself travels as the split body's raw64 section, not in the JSON;
+	// the receiver validates the count before allocating.
 	ParamCount int `json:"paramCount,omitempty"`
-	// ParamExact reports the codec's exactness bit for this encode: true
-	// means the decoded vector is bit-identical to the worker's.
-	ParamExact bool `json:"paramExact,omitempty"`
-	// ParamRef names the reference vector the codec encoded against:
-	// paramRefInit for the run's deterministic initial model (the
-	// receiver re-derives it from the job options), empty for none.
-	ParamRef string `json:"paramRef,omitempty"`
 	// Trace ships the worker-side spans home (see wireTrace). Excluded
 	// from the byte-determinism oracle, which compares rebuilt
 	// hadfl.Result values, never raw frames.
@@ -228,7 +196,6 @@ func toResultBody(res *hadfl.Result) resultBody {
 		ServerBytes: res.ServerBytes,
 		EvalBatches: res.EvalBatches,
 		EvalSeconds: res.EvalSeconds,
-		FinalParams: res.FinalParams,
 	}
 	if res.Series != nil {
 		b.CurveName = res.Series.Name
@@ -237,7 +204,9 @@ func toResultBody(res *hadfl.Result) resultBody {
 	return b
 }
 
-func (b resultBody) toResult() *hadfl.Result {
+// toResult rebuilds the hadfl.Result around params, the decoded raw64
+// section.
+func (b resultBody) toResult(params []float64) *hadfl.Result {
 	return &hadfl.Result{
 		Scheme:      b.Scheme,
 		Accuracy:    b.Accuracy,
@@ -248,7 +217,7 @@ func (b resultBody) toResult() *hadfl.Result {
 		EvalBatches: b.EvalBatches,
 		EvalSeconds: b.EvalSeconds,
 		Series:      &metrics.Series{Name: b.CurveName, Points: b.Curve},
-		FinalParams: b.FinalParams,
+		FinalParams: params,
 	}
 }
 
@@ -298,35 +267,41 @@ func decodeBody(m p2p.Message, into any) error {
 	return nil
 }
 
-// Split bodies: on the codec path a terminal result body is not plain
-// JSON but a two-section container —
+// Split bodies: a terminal result body is not plain JSON but a
+// two-section container —
 //
-//	"HDW1" | uint32 jsonLen (LE) | jsonLen bytes of JSON | param section
+//	"HDW1" | uint32 jsonLen (LE) | jsonLen bytes of JSON | raw64 params
 //
-// so the multi-megabyte parameter vector ships as the codec's compact
-// binary section instead of base-10 JSON text. The magic cannot collide
-// with the legacy format (JSON bodies start with '{'), so receivers
-// sniff it and accept both generations.
+// so the parameter vector ships as its IEEE-754 bits instead of
+// base-10 JSON text. Error bodies stay plain JSON.
 
 // splitMagic opens every split body.
 var splitMagic = []byte("HDW1")
 
-// encodeSplitBody frames a JSON section and a binary parameter section
-// into one split body.
-func encodeSplitBody(jsonData, paramData []byte) []byte {
-	out := make([]byte, 0, len(splitMagic)+4+len(jsonData)+len(paramData))
+// sendResult ships one terminal result: body as the JSON section and
+// params as the raw64 section of one split body, handed to the chunk
+// streamer, which stays a single frame when the body fits and
+// otherwise streams it — lifting the per-frame cap off the model size.
+// It sets body.ParamCount and reports how many chunk frames the body
+// took (0 = a single frame).
+func sendResult(t p2p.Transport, to, seq int, body resultBody, params []float64) (int, error) {
+	body.ParamCount = len(params)
+	jsonData, err := json.Marshal(body)
+	if err != nil {
+		return 0, fmt.Errorf("dispatch: encode result: %w", err)
+	}
+	out := make([]byte, 0, len(splitMagic)+4+len(jsonData)+8*len(params))
 	out = append(out, splitMagic...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(jsonData)))
 	out = append(out, jsonData...)
-	return append(out, paramData...)
+	return p2p.SendChunked(t, p2p.KindDispatchResult, to, seq, p2p.AppendRaw64(out, params))
 }
 
-// decodeSplitBody separates a body into its JSON and parameter
-// sections. A body without the magic is legacy whole-JSON: it comes
-// back unchanged with a nil parameter section.
+// decodeSplitBody separates a result body into its JSON and raw64
+// sections. A body without the magic is corrupt.
 func decodeSplitBody(body []byte) (jsonData, paramData []byte, err error) {
 	if len(body) < len(splitMagic)+4 || !bytes.Equal(body[:len(splitMagic)], splitMagic) {
-		return body, nil, nil
+		return nil, nil, fmt.Errorf("dispatch: result body lacks the %q split-body header", splitMagic)
 	}
 	n := int(binary.LittleEndian.Uint32(body[len(splitMagic):]))
 	rest := body[len(splitMagic)+4:]

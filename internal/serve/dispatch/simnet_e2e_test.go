@@ -18,6 +18,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -196,6 +199,82 @@ func TestSimnetDispatchByteIdentical(t *testing.T) {
 	}
 	if h.reg.Counter("dispatch_local_fallback_total") != 0 {
 		t.Fatal("local fallback used despite a live worker")
+	}
+}
+
+// TestSimnetDispatchChunkedLargeResult is the chunk streamer's
+// acceptance test: a result whose raw body exceeds the 16 MiB frame cap
+// completes, bit for bit. The stub runner returns a ~17.6 MB parameter
+// vector (2.2M float64s), so the split body must travel as multiple
+// chunk frames. Two more jobs return a nil and an empty vector: both
+// ship as a zero-count raw64 section and must arrive as nil, so the
+// summary keeps rendering "finalParams":null. The liveness grace is
+// generous — a tight one on a loaded 1-core CI host can mark the worker
+// down mid-encode and silently fall back to local execution, voiding
+// what the assertions think they proved.
+func TestSimnetDispatchChunkedLargeResult(t *testing.T) {
+	const n = 2_200_000 // 8n = 17.6 MB raw64 > p2p.MaxDispatchBody
+	if 8*n <= p2p.MaxDispatchBody {
+		t.Fatalf("test vector no longer exceeds the frame cap (%d <= %d)", 8*n, p2p.MaxDispatchBody)
+	}
+	big := make([]float64, n)
+	rng := rand.New(rand.NewSource(99))
+	for i := range big {
+		big[i] = rng.NormFloat64()
+	}
+	stub := func(ctx context.Context, scheme string, opts hadfl.Options, onRound func(hadfl.RoundUpdate)) (*hadfl.Result, error) {
+		res := &hadfl.Result{Scheme: scheme, Accuracy: 0.9, Rounds: 1}
+		switch opts.Seed {
+		case 1:
+			res.FinalParams = big
+		case 3:
+			res.FinalParams = []float64{}
+		}
+		return res, nil
+	}
+	h := startResilientHarness(t, map[int]Runner{worker1ID: stub}, 1, func(cfg *Config) {
+		cfg.HeartbeatEvery = 50 * time.Millisecond
+		cfg.LivenessGrace = 5 * time.Second
+	})
+	res, err := h.disp.Run(context.Background(), hadfl.SchemeHADFL, fastOpts(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.FinalParams) != n {
+		t.Fatalf("%d params survived, want %d", len(res.FinalParams), n)
+	}
+	for i := range big {
+		if math.Float64bits(res.FinalParams[i]) != math.Float64bits(big[i]) {
+			t.Fatalf("FinalParams[%d] drifted across the chunk stream", i)
+		}
+	}
+	if n := h.reg.Counter("dispatch_wire_chunked_results_total"); n != 1 {
+		t.Fatalf("dispatch_wire_chunked_results_total = %d, want 1", n)
+	}
+	// ≥ ceil(17.6MB / 4MiB) = 5 chunk frames.
+	if n := h.reg.Counter("dispatch_wire_chunks_total"); n < 5 {
+		t.Fatalf("dispatch_wire_chunks_total = %d, want >= 5", n)
+	}
+	if n := h.reg.Counter("worker_chunked_results_total"); n != 1 {
+		t.Fatalf("worker_chunked_results_total = %d, want 1", n)
+	}
+	if n := h.reg.Counter("dispatch_wire_raw_bytes_total"); n != 8*int64(len(big)) {
+		t.Fatalf("dispatch_wire_raw_bytes_total = %d, want %d", n, 8*len(big))
+	}
+	for _, seed := range []int64{2, 3} {
+		res, err := h.disp.Run(context.Background(), hadfl.SchemeHADFL, fastOpts(seed), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FinalParams != nil {
+			t.Fatalf("seed %d: empty vector arrived as %#v, want nil", seed, res.FinalParams)
+		}
+		if got := summaryJSON(t, res); !strings.Contains(string(got), `"finalParams":null`) {
+			t.Fatalf("seed %d: summary %s, want \"finalParams\":null", seed, got)
+		}
+	}
+	if n := h.reg.Counter("dispatch_remote_total"); n != 3 {
+		t.Fatalf("dispatch_remote_total = %d, want 3", n)
 	}
 }
 
@@ -493,14 +572,12 @@ func TestDispatcherRejectsForeignResults(t *testing.T) {
 				}
 				// A stale orphan's result lands first: same worker, same
 				// sequence, different instance token. Then the real one.
-				_ = sendFrame(imposter, p2p.KindDispatchResult, m.From, m.Round, resultBody{
+				_, _ = sendResult(imposter, m.From, m.Round, resultBody{
 					Token: "stale-instance", Scheme: req.Scheme, Accuracy: 0.99, Rounds: 9,
-					FinalParams: []float64{6, 6, 6},
-				})
-				_ = sendFrame(imposter, p2p.KindDispatchResult, m.From, m.Round, resultBody{
+				}, []float64{6, 6, 6})
+				_, _ = sendResult(imposter, m.From, m.Round, resultBody{
 					Token: req.Token, Scheme: req.Scheme, Accuracy: 0.5, Rounds: 2,
-					FinalParams: []float64{1, 2},
-				})
+				}, []float64{1, 2})
 			}
 		}
 	}()

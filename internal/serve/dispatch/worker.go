@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -40,12 +39,6 @@ type WorkerConfig struct {
 	// learned from its hello frame (TCPNode.AddPeer); transports with
 	// id-based routing leave it nil.
 	AddPeer func(id int, addr string)
-	// Codecs is the parameter wire codecs this worker advertises in its
-	// hello ack, in preference order. Default: every registered codec.
-	// Unknown names are rejected at construction; raw64 is always
-	// appended if missing, because it is the fallback every request with
-	// an unrecognized codec name encodes with.
-	Codecs []string
 	// Runner executes runs. Default: the scheme registry in-process.
 	Runner Runner
 	// RecvTimeout is the serve loop's poll granularity (how quickly
@@ -110,20 +103,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = trace.NopLogger()
-	}
-	if len(cfg.Codecs) == 0 {
-		cfg.Codecs = p2p.ParamCodecNames()
-	} else {
-		raw := false
-		for _, name := range cfg.Codecs {
-			if _, ok := p2p.ParamCodecByName(name); !ok {
-				return nil, fmt.Errorf("dispatch: unknown param codec %q (have %v)", name, p2p.ParamCodecNames())
-			}
-			raw = raw || name == p2p.ParamCodecRaw64
-		}
-		if !raw {
-			cfg.Codecs = append(append([]string(nil), cfg.Codecs...), p2p.ParamCodecRaw64)
-		}
 	}
 	w := &Worker{
 		cfg:     cfg,
@@ -214,32 +193,8 @@ func (w *Worker) handleHello(m p2p.Message) {
 	}
 	w.reg.Inc("worker_hellos_total")
 	_ = sendFrame(w.cfg.Transport, p2p.KindDispatchHello, m.From, m.Round, helloBody{
-		Proto: proto, Capacity: w.cfg.Capacity, Codecs: w.cfg.Codecs,
+		Proto: proto, Capacity: w.cfg.Capacity,
 	})
-}
-
-// sendResult ships a terminal result body. Legacy bodies (no codec) go
-// as one monolithic JSON frame exactly as every worker before chunking
-// did. Codec-path bodies are framed as a split body (JSON + binary
-// parameter section) and handed to the chunk streamer, which stays
-// monolithic when the body fits one frame and otherwise streams it —
-// lifting the per-frame cap off the model size.
-func (w *Worker) sendResult(to, seq int, body resultBody, paramSection []byte) error {
-	if body.ParamCodec == "" {
-		return sendFrame(w.cfg.Transport, p2p.KindDispatchResult, to, seq, body)
-	}
-	jsonData, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("dispatch: encode result: %w", err)
-	}
-	chunks, err := p2p.SendChunked(w.cfg.Transport, p2p.KindDispatchResult, to, seq, encodeSplitBody(jsonData, paramSection))
-	if err != nil {
-		return err
-	}
-	if chunks > 0 {
-		w.reg.Inc("worker_chunked_results_total")
-	}
-	return nil
 }
 
 // handleRequest admits a run if capacity allows and executes it on its
@@ -360,42 +315,18 @@ func (w *Worker) handleRequest(ctx context.Context, m p2p.Message) {
 		}
 		w.reg.Inc("worker_runs_completed_total")
 		log.Info("dispatched run completed", "durationSec", dur.Seconds(), "rounds", rounds.Load())
-		// The result span times the terminal frame's assembly — on big
-		// models the final parameter vector dominates the encode cost.
+		// The result span times the terminal body's assembly; its JSON
+		// and raw64 encoding follow in sendResult, after the span ships.
 		_, rspan := trace.Start(spanCtx, rec, "worker.result")
 		body := toResultBody(res)
 		body.Token = req.Token
-		var paramSection []byte
-		// Empty vectors stay inline: JSON keeps the nil-vs-empty
-		// distinction a binary section cannot carry.
-		if req.Codec != "" && len(res.FinalParams) > 0 {
-			// Codec path: a non-empty request codec proves the dispatcher
-			// reassembles split bodies and chunk streams, so the parameter
-			// vector leaves the JSON and ships as the negotiated codec's
-			// binary section. An unrecognized codec name degrades to raw64
-			// (the fallback every fleet shares), never back to legacy.
-			codec, ok := p2p.ParamCodecByName(req.Codec)
-			if !ok {
-				codec, _ = p2p.ParamCodecByName(p2p.ParamCodecRaw64)
-			}
-			var ref []float64
-			if codec.UsesRef() {
-				if r, rerr := hadfl.InitialParams(opts); rerr == nil {
-					ref = r
-					body.ParamRef = paramRefInit
-				}
-			}
-			paramSection, body.ParamExact = codec.Encode(res.FinalParams, ref)
-			body.ParamCodec = codec.Name()
-			body.ParamCount = len(res.FinalParams)
-			body.FinalParams = nil
-		}
 		rspan.End()
 		body.Trace = shipHome()
-		if err := w.sendResult(m.From, m.Round, body, paramSection); err != nil {
-			// The run finished but its result frame cannot be built or
-			// sent (NaN in the parameters defeats JSON, or the body
-			// outgrew the frame cap). Falling silent would leave the
+		chunks, err := sendResult(w.cfg.Transport, m.From, m.Round, body, res.FinalParams)
+		if err != nil {
+			// The run finished but its result cannot be built or sent (a
+			// NaN in the summary or curve defeats JSON, or the body
+			// outgrew the stream cap). Falling silent would leave the
 			// dispatcher waiting out the job timeout on a healthy,
 			// heartbeating worker — report the failure as the terminal
 			// error frame instead (tiny, always encodable).
@@ -405,6 +336,10 @@ func (w *Worker) handleRequest(ctx context.Context, m p2p.Message) {
 				Token:   req.Token,
 				Message: fmt.Sprintf("dispatch: result undeliverable: %v", err),
 			})
+			return
+		}
+		if chunks > 0 {
+			w.reg.Inc("worker_chunked_results_total")
 		}
 	}()
 }
