@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"hadfl"
+	"hadfl/internal/metrics"
+	"hadfl/internal/p2p"
 )
 
 // TestWireOptionsCoverEveryOptionsField is the drift guard for options
@@ -66,5 +68,47 @@ func fillScalar(t *testing.T, name string, f reflect.Value, i int) {
 		f.SetString(name + "-v")
 	default:
 		t.Fatalf("Options field %s has kind %v this guard cannot populate — extend fillScalar", name, f.Kind())
+	}
+}
+
+// TestResultBodyKeepsEveryResultField is the guard on the result leg of
+// the wire: a hadfl.Result with every field populated goes through
+// toResultBody, the JSON section, the raw64 section and toResult, and
+// must come back reflect.DeepEqual in every field — the dispatched ==
+// local contract on a single value. A new Result field fails the
+// "fully populated" check until the fixture sets it.
+func TestResultBodyKeepsEveryResultField(t *testing.T) {
+	in := &hadfl.Result{
+		Scheme: hadfl.SchemeHADFLGrouped, Accuracy: 0.75, Time: 12.5,
+		Series: &metrics.Series{Name: "pinned", Points: []metrics.Point{
+			{Epoch: 0.5, Time: 6.25, Loss: 0.5, Accuracy: 0.5},
+			{Epoch: 1, Time: 12.5, Loss: 0.1, Accuracy: 0.75},
+		}},
+		DeviceBytes: 100, ServerBytes: 7, Rounds: 3,
+		FinalParams: []float64{1, -2.5, 1e-300},
+		EvalBatches: 5, EvalSeconds: 0.125,
+	}
+	v := reflect.ValueOf(*in)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("fixture leaves Result.%s zero; populate it", v.Type().Field(i).Name)
+		}
+	}
+	body := toResultBody(in)
+	body.ParamCount = len(in.FinalParams)
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back resultBody
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	params, err := p2p.DecodeRaw64(p2p.AppendRaw64(nil, in.FinalParams), back.ParamCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := back.toResult(params); !reflect.DeepEqual(out, in) {
+		t.Fatalf("result leg dropped data:\n got %+v\nwant %+v", out, in)
 	}
 }

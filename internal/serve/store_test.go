@@ -113,7 +113,8 @@ func TestResultStoreSkipsCorruptEntries(t *testing.T) {
 // TestResultStoreLoadsPinnedSidecar rehydrates a sidecar byte-for-byte
 // as the store wrote it while options still went through a serve-side
 // mirror struct, every option set: stores written then keep serving
-// their results without a retrain.
+// their results without a retrain — same options, same summary, same
+// model, same finish time.
 func TestResultStoreLoadsPinnedSidecar(t *testing.T) {
 	dir := t.TempDir()
 	const id = "cc690836145f1fe20c2c622d90553e98b3867798677506fc824a1990c0d958c6"
@@ -142,6 +143,17 @@ func TestResultStoreLoadsPinnedSidecar(t *testing.T) {
 	}
 	if got := jobs[0].Options; !reflect.DeepEqual(got, want) {
 		t.Fatalf("rehydrated options %+v, want %+v", got, want)
+	}
+	res, jerr := jobs[0].Result()
+	wantRes := &hadfl.Result{
+		Scheme: hadfl.SchemeHADFLGrouped, Accuracy: 0.75, Time: 12.5, Rounds: 3,
+		DeviceBytes: 100, ServerBytes: 0, FinalParams: []float64{1, 2},
+	}
+	if jerr != nil || !reflect.DeepEqual(res, wantRes) {
+		t.Fatalf("rehydrated result %+v (err %v), want %+v", res, jerr, wantRes)
+	}
+	if _, finished := jobs[0].Times(); !finished.Equal(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)) {
+		t.Fatalf("rehydrated finished %v, want 2026-01-02T03:04:05Z", finished)
 	}
 }
 
