@@ -112,18 +112,22 @@ func SetComputeParallelism(n int) {
 	tensor.SetParallelism(n)
 }
 
-// RoundUpdate is per-round progress delivered to Options.OnRound.
+// RoundUpdate is per-round progress delivered to Options.OnRound. Its
+// JSON form is the one wire form of a round: the serve API's SSE
+// "round" events and the dispatch protocol's round frames both encode
+// this struct. Scheme stays off the wire — a stream or frame already
+// belongs to one run.
 type RoundUpdate struct {
 	// Scheme names the run that produced this update — the attribution
 	// handle when one callback observes several schemes at once
 	// (Compare runs them concurrently).
-	Scheme   string
-	Round    int
-	Time     float64 // virtual seconds at round end
-	Loss     float64
-	Accuracy float64
-	Selected []int // devices that performed the partial aggregation
-	Bypassed int   // dead ring members bypassed this round
+	Scheme   string  `json:"-"`
+	Round    int     `json:"round"`
+	Time     float64 `json:"time"` // virtual seconds at round end
+	Loss     float64 `json:"loss"`
+	Accuracy float64 `json:"accuracy"`
+	Selected []int   `json:"selected,omitempty"` // devices that performed the partial aggregation
+	Bypassed int     `json:"bypassed,omitempty"` // dead ring members bypassed this round
 }
 
 func (o *Options) fill() {
@@ -182,33 +186,40 @@ func (o *Options) cluster() (*core.Cluster, experiments.Workload, error) {
 	return c, w, err
 }
 
-// Result summarizes one training run.
+// Result summarizes one training run. Its JSON form is the one wire
+// form of a run's summary: the serve API's status "result" object, the
+// result store's sidecar files and the dispatch protocol's result
+// frames all embed this struct, so the field order below is also the
+// encoded key order. The curve, the parameter vector and the eval
+// telemetry stay off it: each path ships the curve in its own shape,
+// the parameters travel as raw64 or a model file, and wall-clock
+// telemetry must never reach the HTTP bytes.
 type Result struct {
 	// Scheme that produced this result.
-	Scheme string
+	Scheme string `json:"scheme"`
 	// Accuracy is the maximum test accuracy reached (0..1).
-	Accuracy float64
+	Accuracy float64 `json:"accuracy"`
 	// Time is the virtual time (seconds) at which Accuracy was reached —
 	// the Table I metric.
-	Time float64
-	// Series is the full training curve.
-	Series *metrics.Series
-	// DeviceBytes / ServerBytes account communication volume.
-	DeviceBytes int64
-	ServerBytes int64
+	Time float64 `json:"time"`
 	// Rounds is the number of synchronization rounds (or iterations).
-	Rounds int
+	Rounds int `json:"rounds"`
+	// DeviceBytes / ServerBytes account communication volume.
+	DeviceBytes int64 `json:"deviceBytes"`
+	ServerBytes int64 `json:"serverBytes"`
+	// Series is the full training curve.
+	Series *metrics.Series `json:"-"`
 	// FinalParams is the final aggregated model's flat parameter vector,
 	// loadable with EvaluateParams or persistable via
 	// coordinator.ModelStore.
-	FinalParams []float64
+	FinalParams []float64 `json:"-"`
 	// EvalBatches / EvalSeconds report the evaluation engine's work for
 	// this run (scoring batches forwarded, wall-clock seconds) — the
 	// source of the serve layer's eval_batches_total /
 	// eval_seconds_total metrics. Telemetry only: excluded from
 	// Canonical/Fingerprint like every other observability field.
-	EvalBatches int64
-	EvalSeconds float64
+	EvalBatches int64   `json:"-"`
+	EvalSeconds float64 `json:"-"`
 }
 
 func summarize(scheme string, res *core.Result) *Result {
@@ -217,10 +228,10 @@ func summarize(scheme string, res *core.Result) *Result {
 		Scheme:      scheme,
 		Accuracy:    acc,
 		Time:        t,
-		Series:      res.Series,
+		Rounds:      res.Rounds,
 		DeviceBytes: res.Comm.TotalDeviceBytes(),
 		ServerBytes: res.Comm.ServerBytes,
-		Rounds:      res.Rounds,
+		Series:      res.Series,
 		FinalParams: res.FinalParams,
 	}
 }

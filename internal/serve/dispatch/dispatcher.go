@@ -779,10 +779,9 @@ func (d *Dispatcher) runOn(ctx context.Context, ws *workerState, fp, scheme stri
 	canceled := false
 	forward := func(r roundBody) {
 		if onRound != nil && !canceled {
-			onRound(hadfl.RoundUpdate{
-				Scheme: scheme, Round: r.Round, Time: r.Time, Loss: r.Loss,
-				Accuracy: r.Accuracy, Selected: r.Selected, Bypassed: r.Bypassed,
-			})
+			u := r.RoundUpdate
+			u.Scheme = scheme
+			onRound(u)
 		}
 	}
 	// drainRounds flushes telemetry still queued behind a terminal

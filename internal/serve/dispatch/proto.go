@@ -153,25 +153,17 @@ type cancelBody struct {
 // result — belonging to a predecessor instance's orphaned run whose
 // (worker, sequence) pair collides with one of its own.
 type roundBody struct {
-	Token    string  `json:"token,omitempty"`
-	Round    int     `json:"round"`
-	Time     float64 `json:"time"`
-	Loss     float64 `json:"loss"`
-	Accuracy float64 `json:"accuracy"`
-	Selected []int   `json:"selected,omitempty"`
-	Bypassed int     `json:"bypassed,omitempty"`
+	Token string `json:"token,omitempty"`
+	hadfl.RoundUpdate
 }
 
-// resultBody is a terminal success: everything needed to rebuild the
-// hadfl.Result the run would have produced locally.
+// resultBody is a terminal success: the hadfl.Result wire form plus
+// what it keeps off that form — eval telemetry, the named curve and the
+// parameter count — so the dispatcher rebuilds the hadfl.Result the run
+// would have produced locally.
 type resultBody struct {
-	Token       string          `json:"token,omitempty"` // echoes requestBody.Token, see roundBody
-	Scheme      string          `json:"scheme"`
-	Accuracy    float64         `json:"accuracy"`
-	Time        float64         `json:"time"`
-	Rounds      int             `json:"rounds"`
-	DeviceBytes int64           `json:"deviceBytes"`
-	ServerBytes int64           `json:"serverBytes"`
+	Token string `json:"token,omitempty"` // echoes requestBody.Token, see roundBody
+	hadfl.Result
 	EvalBatches int64           `json:"evalBatches,omitempty"`
 	EvalSeconds float64         `json:"evalSeconds,omitempty"`
 	CurveName   string          `json:"curveName,omitempty"`
@@ -187,16 +179,7 @@ type resultBody struct {
 }
 
 func toResultBody(res *hadfl.Result) resultBody {
-	b := resultBody{
-		Scheme:      res.Scheme,
-		Accuracy:    res.Accuracy,
-		Time:        res.Time,
-		Rounds:      res.Rounds,
-		DeviceBytes: res.DeviceBytes,
-		ServerBytes: res.ServerBytes,
-		EvalBatches: res.EvalBatches,
-		EvalSeconds: res.EvalSeconds,
-	}
+	b := resultBody{Result: *res, EvalBatches: res.EvalBatches, EvalSeconds: res.EvalSeconds}
 	if res.Series != nil {
 		b.CurveName = res.Series.Name
 		b.Curve = res.Series.Points
@@ -207,18 +190,11 @@ func toResultBody(res *hadfl.Result) resultBody {
 // toResult rebuilds the hadfl.Result around params, the decoded raw64
 // section.
 func (b resultBody) toResult(params []float64) *hadfl.Result {
-	return &hadfl.Result{
-		Scheme:      b.Scheme,
-		Accuracy:    b.Accuracy,
-		Time:        b.Time,
-		Rounds:      b.Rounds,
-		DeviceBytes: b.DeviceBytes,
-		ServerBytes: b.ServerBytes,
-		EvalBatches: b.EvalBatches,
-		EvalSeconds: b.EvalSeconds,
-		Series:      &metrics.Series{Name: b.CurveName, Points: b.Curve},
-		FinalParams: params,
-	}
+	res := b.Result
+	res.EvalBatches, res.EvalSeconds = b.EvalBatches, b.EvalSeconds
+	res.Series = &metrics.Series{Name: b.CurveName, Points: b.Curve}
+	res.FinalParams = params
+	return &res
 }
 
 // errorBody is a terminal failure. Busy marks a capacity rejection

@@ -118,22 +118,31 @@ func startHarness(t *testing.T, workerIDs []int, capacity int, runner Runner) *h
 	return h
 }
 
-// summaryJSON renders a result the way GET /runs/{id}?curve=1 would —
-// the byte-identity oracle. Eval telemetry (wall-clock) is excluded,
-// exactly as the serve wire format excludes it.
+// summaryJSON renders a result as the byte-identity oracle: the
+// hadfl.Result wire form (which keeps eval telemetry, wall-clock, off
+// the wire) plus the named curve and the final parameter vector, so a
+// newly keyed Result field joins the dispatched == local check on its
+// own.
 func summaryJSON(t *testing.T, res *hadfl.Result) []byte {
 	t.Helper()
-	data, err := json.Marshal(map[string]any{
-		"scheme":      res.Scheme,
-		"accuracy":    res.Accuracy,
-		"time":        res.Time,
-		"rounds":      res.Rounds,
-		"deviceBytes": res.DeviceBytes,
-		"serverBytes": res.ServerBytes,
+	wire, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string]json.RawMessage{}
+	if err := json.Unmarshal(wire, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for key, v := range map[string]any{
 		"curveName":   res.Series.Name,
 		"curve":       res.Series.Points,
 		"finalParams": res.FinalParams,
-	})
+	} {
+		if fields[key], err = json.Marshal(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := json.Marshal(fields)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,10 +582,10 @@ func TestDispatcherRejectsForeignResults(t *testing.T) {
 				// A stale orphan's result lands first: same worker, same
 				// sequence, different instance token. Then the real one.
 				_, _ = sendResult(imposter, m.From, m.Round, resultBody{
-					Token: "stale-instance", Scheme: req.Scheme, Accuracy: 0.99, Rounds: 9,
+					Token: "stale-instance", Result: hadfl.Result{Scheme: req.Scheme, Accuracy: 0.99, Rounds: 9},
 				}, []float64{6, 6, 6})
 				_, _ = sendResult(imposter, m.From, m.Round, resultBody{
-					Token: req.Token, Scheme: req.Scheme, Accuracy: 0.5, Rounds: 2,
+					Token: req.Token, Result: hadfl.Result{Scheme: req.Scheme, Accuracy: 0.5, Rounds: 2},
 				}, []float64{1, 2})
 			}
 		}

@@ -277,10 +277,7 @@ func (w *Worker) handleRequest(ctx context.Context, m p2p.Message) {
 		var rounds atomic.Int64
 		res, err := w.cfg.Runner(spanCtx, req.Scheme, opts, func(u hadfl.RoundUpdate) {
 			rounds.Add(1)
-			_ = sendFrame(w.cfg.Transport, p2p.KindDispatchRound, m.From, m.Round, roundBody{
-				Token: req.Token, Round: u.Round, Time: u.Time, Loss: u.Loss,
-				Accuracy: u.Accuracy, Selected: u.Selected, Bypassed: u.Bypassed,
-			})
+			_ = sendFrame(w.cfg.Transport, p2p.KindDispatchRound, m.From, m.Round, roundBody{Token: req.Token, RoundUpdate: u})
 		})
 		w.mu.Lock()
 		delete(w.running, key)

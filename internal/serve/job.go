@@ -27,23 +27,12 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Round is the wire form of a per-round progress update, mirroring
-// hadfl.RoundUpdate with the API's camelCase JSON convention.
-type Round struct {
-	Round    int     `json:"round"`
-	Time     float64 `json:"time"`
-	Loss     float64 `json:"loss"`
-	Accuracy float64 `json:"accuracy"`
-	Selected []int   `json:"selected,omitempty"`
-	Bypassed int     `json:"bypassed,omitempty"`
-}
-
 // Event is one entry in a job's progress stream: either a state
 // transition or a per-round training update.
 type Event struct {
-	Type  string `json:"type"` // "state" or "round"
-	State State  `json:"state,omitempty"`
-	Round *Round `json:"round,omitempty"`
+	Type  string             `json:"type"` // "state" or "round"
+	State State              `json:"state,omitempty"`
+	Round *hadfl.RoundUpdate `json:"round,omitempty"`
 }
 
 // subBuffer is each subscriber's channel capacity; a subscriber that
@@ -183,16 +172,12 @@ func (j *Job) start(cancel context.CancelFunc) bool {
 // publishRound fans a per-round update out to subscribers and the
 // replay log.
 func (j *Job) publishRound(u hadfl.RoundUpdate) {
-	r := &Round{
-		Round: u.Round, Time: u.Time, Loss: u.Loss,
-		Accuracy: u.Accuracy, Selected: u.Selected, Bypassed: u.Bypassed,
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return
 	}
-	j.publishLocked(Event{Type: "round", Round: r})
+	j.publishLocked(Event{Type: "round", Round: &u})
 }
 
 // finish moves the job to a terminal state. Exactly one of res / jerr

@@ -330,15 +330,11 @@ func dispatchStatus(jerr *JobError) *DispatchStatus {
 	return ds
 }
 
-// RunSummary is the wire form of a hadfl.Result; the full curve rides
-// along only when requested (?curve=1).
+// RunSummary is a status's "result" object: the hadfl.Result wire
+// form plus the curve length, and the full curve only when requested
+// (?curve=1).
 type RunSummary struct {
-	Scheme      string          `json:"scheme"`
-	Accuracy    float64         `json:"accuracy"`
-	Time        float64         `json:"time"`
-	Rounds      int             `json:"rounds"`
-	DeviceBytes int64           `json:"deviceBytes"`
-	ServerBytes int64           `json:"serverBytes"`
+	hadfl.Result
 	CurvePoints int             `json:"curvePoints"`
 	Curve       []metrics.Point `json:"curve,omitempty"`
 }
@@ -369,14 +365,7 @@ func (s *Server) status(j *Job, disp string, withCurve bool) JobStatus {
 		st.Dispatch = dispatchStatus(v.jerr)
 	}
 	if v.result != nil {
-		sum := &RunSummary{
-			Scheme:      v.result.Scheme,
-			Accuracy:    v.result.Accuracy,
-			Time:        v.result.Time,
-			Rounds:      v.result.Rounds,
-			DeviceBytes: v.result.DeviceBytes,
-			ServerBytes: v.result.ServerBytes,
-		}
+		sum := &RunSummary{Result: *v.result}
 		if v.result.Series != nil {
 			sum.CurvePoints = v.result.Series.Len()
 			if withCurve {

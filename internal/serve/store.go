@@ -32,19 +32,15 @@ type ResultStore struct {
 	reg *metrics.Registry
 }
 
-// storedRun is the JSON sidecar: enough to rebuild the job's identity
-// (scheme + options, revalidated against the fingerprint on load) and
-// its summary without the model vector.
+// storedRun is the JSON sidecar: the hadfl.Result wire form plus
+// enough to rebuild the job's identity (options, revalidated against
+// the fingerprint on load) and its finish time, without the model
+// vector.
 type storedRun struct {
-	ID          string        `json:"id"`
-	Scheme      string        `json:"scheme"`
-	Options     hadfl.Options `json:"options"`
-	Accuracy    float64       `json:"accuracy"`
-	Time        float64       `json:"time"`
-	Rounds      int           `json:"rounds"`
-	DeviceBytes int64         `json:"deviceBytes"`
-	ServerBytes int64         `json:"serverBytes"`
-	Finished    time.Time     `json:"finished"`
+	ID      string        `json:"id"`
+	Options hadfl.Options `json:"options"`
+	hadfl.Result
+	Finished time.Time `json:"finished"`
 }
 
 // NewResultStore opens (creating if needed) a store directory.
@@ -84,18 +80,7 @@ func (st *ResultStore) Save(j *Job, res *hadfl.Result) error {
 		return err
 	}
 	_, finished := j.Times()
-	sr := storedRun{
-		ID:          j.ID,
-		Scheme:      j.Scheme,
-		Options:     j.Options,
-		Accuracy:    res.Accuracy,
-		Time:        res.Time,
-		Rounds:      res.Rounds,
-		DeviceBytes: res.DeviceBytes,
-		ServerBytes: res.ServerBytes,
-		Finished:    finished,
-	}
-	data, err := json.Marshal(sr)
+	data, err := json.Marshal(storedRun{ID: j.ID, Options: j.Options, Result: *res, Finished: finished})
 	if err != nil {
 		st.reg.Inc("store_errors_total")
 		return err
@@ -163,15 +148,8 @@ func (st *ResultStore) loadOne(path string) (*Job, bool) {
 		return nil, false
 	}
 	j := newJob(sr.ID, sr.Scheme, sr.Options)
-	j.finish(&hadfl.Result{
-		Scheme:      sr.Scheme,
-		Accuracy:    sr.Accuracy,
-		Time:        sr.Time,
-		Rounds:      sr.Rounds,
-		DeviceBytes: sr.DeviceBytes,
-		ServerBytes: sr.ServerBytes,
-		FinalParams: params,
-	}, nil)
+	sr.FinalParams = params
+	j.finish(&sr.Result, nil)
 	if !sr.Finished.IsZero() {
 		j.mu.Lock()
 		j.finished = sr.Finished

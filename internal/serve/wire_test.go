@@ -54,7 +54,7 @@ func TestRunOptionsCoverEveryOptionsField(t *testing.T) {
 		t.Fatalf("RunRequest round trip dropped data:\n got %+v\nwant %+v\n(give the new Options field a JSON key)", req.Options, o)
 	}
 	var sr storedRun
-	roundTrip(t, storedRun{ID: "x", Scheme: hadfl.SchemeHADFL, Options: o}, &sr)
+	roundTrip(t, storedRun{ID: "x", Options: o, Result: hadfl.Result{Scheme: hadfl.SchemeHADFL}}, &sr)
 	if !reflect.DeepEqual(sr.Options, o) {
 		t.Fatalf("store sidecar round trip dropped data:\n got %+v\nwant %+v\n(give the new Options field a JSON key)", sr.Options, o)
 	}
