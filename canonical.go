@@ -118,7 +118,7 @@ func (o Options) Canonical() string {
 // canonical option form. Identical fingerprints mean identical runs
 // (same curve, same final model), so results may be cached and
 // concurrent duplicate requests coalesced. Returns an error if the
-// scheme is not registered or the options do not validate.
+// scheme is unknown or the options do not validate.
 func Fingerprint(scheme string, opts Options) (string, error) {
 	if !ValidScheme(scheme) {
 		return "", unknownSchemeError(scheme)

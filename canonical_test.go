@@ -167,7 +167,7 @@ func TestSchemesAndValidScheme(t *testing.T) {
 }
 
 func TestAsyncFLFingerprintRoundTrip(t *testing.T) {
-	// asyncfl is a first-class registered scheme: it fingerprints like
+	// asyncfl is a first-class scheme: it fingerprints like
 	// the others and the fingerprint distinguishes it from them.
 	opts := fastOpts(1)
 	fp, err := Fingerprint(SchemeAsyncFL, opts)

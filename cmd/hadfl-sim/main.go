@@ -66,8 +66,7 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 
 	if *scheme == "list" {
-		// The registry drives this listing: a newly registered scheme
-		// appears here with no CLI change.
+		// hadfl.Schemes drives this listing, in canonical order.
 		for _, name := range hadfl.Schemes() {
 			fmt.Fprintln(out, name)
 		}

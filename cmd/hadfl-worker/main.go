@@ -1,7 +1,7 @@
 // hadfl-worker is one remote-execution node for hadfl-serve's
 // dispatcher: it listens on a p2p TCP transport, registers with any
 // dispatcher that hellos it, acks liveness heartbeats, executes
-// dispatched runs through the scheme registry (streaming per-round
+// dispatched runs through hadfl.RunContext (streaming per-round
 // telemetry back), and aborts runs cooperatively on cancel frames or
 // propagated deadlines. See internal/serve/dispatch for the protocol.
 //

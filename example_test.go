@@ -22,7 +22,7 @@ func ExampleRun() {
 	// Output: scheme=hadfl rounds=4 server-bytes=0
 }
 
-// Comparing every registered scheme on one cluster.
+// Comparing every scheme on one cluster.
 func ExampleCompare() {
 	results, err := hadfl.Compare(hadfl.Options{
 		Powers:       []float64{4, 2, 2, 1},

@@ -1,5 +1,5 @@
 // Heterogeneous-cluster comparison: HADFL versus every other
-// registered scheme (Decentralized-FedAvg, PyTorch-style distributed
+// scheme (Decentralized-FedAvg, PyTorch-style distributed
 // training, staleness-weighted async-FL) on the paper's two
 // heterogeneity distributions — a miniature of the paper's Table I.
 //
@@ -29,8 +29,7 @@ func main() {
 		}
 		h := results[hadfl.SchemeHADFL]
 		label := fmt.Sprintf("%v", powers)
-		// Every registered scheme — a newly registered one shows up in
-		// this table without an edit here.
+		// Every scheme, in hadfl.Schemes' canonical order.
 		for _, scheme := range hadfl.Schemes() {
 			r := results[scheme]
 			speedup := r.Time / h.Time

@@ -1,7 +1,7 @@
 package hadfl
 
 // Golden runs: the fixed point of the round-loop refactor. For every
-// registered scheme the fixtures in testdata/golden_runs.json pin what
+// scheme the fixtures in testdata/golden_runs.json pin what
 // the paper's comparisons rest on — the final model, every bit of the
 // training curve (epoch, virtual time, loss, accuracy), the round
 // count, the byte accounting and the OnRound stream — so a change to

@@ -10,8 +10,7 @@
 //	fmt.Printf("accuracy %.1f%% in %.0f virtual seconds\n",
 //		100*res.Accuracy, res.Time)
 //
-// Schemes live in a process-level registry (see Scheme and
-// RegisterScheme); the built-ins are:
+// The schemes are a closed set of five (see Schemes):
 //
 //   - SchemeHADFL: the paper's contribution — asynchronous local steps
 //     proportional to device power, probability-based partial
@@ -269,17 +268,17 @@ func Run(opts Options) (*Result, error) {
 	return RunContext(context.Background(), SchemeHADFL, opts)
 }
 
-// RunScheme trains with the named registered scheme.
+// RunScheme trains with the named scheme.
 func RunScheme(scheme string, opts Options) (*Result, error) {
 	return RunContext(context.Background(), scheme, opts)
 }
 
-// RunContext trains with the named registered scheme under ctx:
+// RunContext trains with the named scheme under ctx:
 // cancellation (or deadline expiry) stops the run within about one
 // device step and returns ctx.Err(). The scheme dispatch, defaults and
 // result shape are otherwise identical to RunScheme.
 func RunContext(ctx context.Context, scheme string, opts Options) (*Result, error) {
-	s, ok := lookupScheme(scheme)
+	run, ok := lookupScheme(scheme)
 	if !ok {
 		return nil, unknownSchemeError(scheme)
 	}
@@ -311,7 +310,7 @@ func RunContext(ctx context.Context, scheme string, opts Options) (*Result, erro
 			})
 		}
 	}
-	res, err := s.Run(ctx, cluster, rc)
+	res, err := run(ctx, cluster, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -322,13 +321,13 @@ func RunContext(ctx context.Context, scheme string, opts Options) (*Result, erro
 	return out, nil
 }
 
-// Compare runs every registered scheme on identical clusters and
+// Compare runs every scheme on identical clusters and
 // returns results keyed by scheme name. See CompareContext.
 func Compare(opts Options) (map[string]*Result, error) {
 	return CompareContext(context.Background(), opts)
 }
 
-// CompareContext runs every registered scheme concurrently (each on its
+// CompareContext runs every scheme concurrently (each on its
 // own identically seeded cluster, so results match sequential runs
 // byte-for-byte) and returns results keyed by scheme name. The schemes
 // share an errgroup-style join: the first failure cancels the

@@ -1,7 +1,7 @@
 package dispatch
 
 // Dispatch-overhead benchmarks: the same tiny run executed straight
-// through the scheme registry (the local pool's path) and through the
+// through hadfl.RunContext (the local pool's path) and through the
 // full simnet dispatch round trip (request frame → worker execution →
 // round/result frames). The difference is the protocol's per-job cost:
 // encode/decode, byte-packing and channel hops — there is no socket in

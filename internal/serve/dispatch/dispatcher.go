@@ -29,7 +29,7 @@ type Config struct {
 	// transports leave it empty.
 	ReplyAddr string
 	// Local executes runs when no live worker can (the fallback path).
-	// Default: the scheme registry in-process, so a dispatcher with no
+	// Default: hadfl.RunContext in-process, so a dispatcher with no
 	// reachable workers behaves exactly like the plain local pool.
 	Local Runner
 	// HeartbeatEvery is the liveness probe period. Default 500ms.

@@ -20,7 +20,7 @@ import (
 // dispatcher, and so tests can substitute instrumented runs.
 type Runner func(ctx context.Context, scheme string, opts hadfl.Options, onRound func(hadfl.RoundUpdate)) (*hadfl.Result, error)
 
-// localRunner executes through the scheme registry in-process — the
+// localRunner executes through hadfl.RunContext in-process — the
 // worker's default executor and the dispatcher's local fallback.
 func localRunner(ctx context.Context, scheme string, opts hadfl.Options, onRound func(hadfl.RoundUpdate)) (*hadfl.Result, error) {
 	opts.OnRound = onRound
@@ -39,7 +39,7 @@ type WorkerConfig struct {
 	// learned from its hello frame (TCPNode.AddPeer); transports with
 	// id-based routing leave it nil.
 	AddPeer func(id int, addr string)
-	// Runner executes runs. Default: the scheme registry in-process.
+	// Runner executes runs. Default: hadfl.RunContext in-process.
 	Runner Runner
 	// RecvTimeout is the serve loop's poll granularity (how quickly
 	// Serve notices its context is done). Default 200ms.
@@ -55,8 +55,8 @@ type WorkerConfig struct {
 }
 
 // Worker executes dispatched runs: it registers with dispatchers that
-// hello it, acks their heartbeats, runs requests through the scheme
-// registry (streaming round telemetry back), and aborts runs
+// hello it, acks their heartbeats, runs requests through
+// hadfl.RunContext (streaming round telemetry back), and aborts runs
 // cooperatively when a cancel frame arrives or the request's deadline
 // expires.
 type Worker struct {

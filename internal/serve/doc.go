@@ -20,8 +20,8 @@
 //	                          progress report (fed from
 //	                          hadfl.Options.OnRound); past events are
 //	                          replayed so late subscribers miss nothing
-//	GET    /schemes           the registered training schemes, straight
-//	                          from the hadfl scheme registry
+//	GET    /schemes           the training schemes, straight from
+//	                          hadfl.Schemes
 //	GET    /healthz           liveness: {"status":"ok", uptime, jobs}
 //	GET    /stats             metrics.Registry snapshot (queue depth, cache
 //	                          hit/miss, per-scheme run counts, ...) plus
@@ -71,7 +71,7 @@
 // Submissions beyond the queue bound are rejected with 503 rather than
 // accepted unboundedly, and a token bucket rate-limits POST /runs with
 // 429. Each job runs under a per-job context (timeout + cancel); every
-// registered scheme threads that context through its training loops
+// scheme threads that context through its training loops
 // via hadfl.RunContext and aborts within about one device step. A
 // custom Runner that ignores its context is abandoned instead after a
 // short grace (the worker moves on, the run's late result is

@@ -21,7 +21,7 @@ import (
 // failing runs.
 type Runner func(ctx context.Context, scheme string, opts hadfl.Options, onRound func(hadfl.RoundUpdate)) (*hadfl.Result, error)
 
-// DefaultRunner runs hadfl.RunContext: every registered scheme checks
+// DefaultRunner runs hadfl.RunContext: every scheme checks
 // ctx at its round and device-step boundaries, so a canceled or
 // timed-out job aborts within about one device step and returns
 // ctx.Err(). The pool's goroutine-abandonment path remains only as a
@@ -135,7 +135,7 @@ func (p *Pool) QueueDepth() int { return len(p.queue) }
 
 // Close shuts the pool down: intake stops, queued jobs are canceled
 // immediately, and running jobs may finish until ctx expires, after
-// which their contexts are cut (every registered scheme aborts within
+// which their contexts are cut (every scheme aborts within
 // about one device step; custom runners that ignore ctx are
 // abandoned). Returns ctx.Err() when the grace period was exhausted,
 // nil on a clean drain.

@@ -103,7 +103,7 @@ func (st *ResultStore) Save(j *Job, res *hadfl.Result) error {
 // Load rehydrates every persisted run as a terminal Done job. Corrupt
 // or stale entries (unparsable JSON, missing model file, a fingerprint
 // that no longer matches — e.g. after a canonicalization change or for
-// a scheme no longer registered) are skipped and counted on
+// a scheme this build does not know) are skipped and counted on
 // store_skipped_total, never fatal: the worst outcome of a bad store
 // entry is a retrain.
 func (st *ResultStore) Load() []*Job {

@@ -11,7 +11,7 @@ import (
 // Parallelism: for a fixed seed, the concurrent runner (devices
 // training concurrently inside a round) and the evaluator's scoring
 // replicas must produce byte-identical final parameters and training
-// curves at every parallelism level, for every registered scheme: (1
+// curves at every parallelism level, for every scheme: (1
 // device at a time, 1 scoring replica) against (2, 2) and (4, 4).
 // make test-race runs this under the race detector, which also
 // exercises the concurrent phase for data races.

@@ -10,7 +10,7 @@ import (
 // runAllocBudget pins the whole-run allocation ceiling with one device
 // and one scoring replica at a time. A complete run — cluster
 // construction, warm-up, training rounds, per-round evaluation — must
-// stay under this many heap allocations for every registered scheme.
+// stay under this many heap allocations for every scheme.
 // Before the evaluation engine and the parameter-gather plumbing, the
 // evaluation path alone cost ~50k allocations per run; the measured
 // steady state is now ~1.45k (dominated by cluster construction), so
@@ -25,7 +25,7 @@ const runAllocBudget = 2200
 // about 1.5× headroom.
 const concurrentRunAllocBudget = 3200
 
-// TestRunAllocationBudget runs every registered scheme twice (the
+// TestRunAllocationBudget runs every scheme twice (the
 // first run warms package-level state) and asserts the second stays
 // under the budget, at parallelism 1 and at a fixed width of 4, so the
 // count does not depend on the host's core count.

@@ -1,26 +1,23 @@
 package hadfl
 
-// The scheme registry: training schemes are pluggable data, not
-// compiled-in switch arms. Each scheme is a named strategy for driving
-// a core.Cluster to a core.Result; the built-ins (HADFL, its
-// hierarchical grouped variant, the paper's two synchronous baselines,
-// and the async-FL related-work scheme) register themselves at init,
-// and everything scheme-shaped in the public API — RunScheme, Schemes,
-// ValidScheme, Fingerprint, Compare, the serve layer's listing, the
-// CLIs — derives from the registry, so a newly registered scheme is
-// immediately runnable, cacheable and listable everywhere.
+// The scheme set: a closed, ordered table of the five training schemes
+// this package implements — HADFL, its hierarchical grouped variant,
+// the paper's two synchronous baselines, and the async-FL related-work
+// scheme. Each drives a core.Cluster to a core.Result, and everything
+// scheme-shaped in the public API — RunScheme, Schemes, ValidScheme,
+// Fingerprint, Compare, the serve layer's listing, the CLIs — derives
+// from this table.
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"hadfl/internal/baselines"
 	"hadfl/internal/core"
 )
 
-// Scheme names registered by this package.
+// Scheme names, one per training scheme.
 const (
 	SchemeHADFL        = "hadfl"
 	SchemeFedAvg       = "decentralized-fedavg"
@@ -29,103 +26,70 @@ const (
 	SchemeHADFLGrouped = "hadfl-grouped"
 )
 
-// Scheme is one pluggable training scheme. Run must honor ctx
-// (returning ctx.Err() promptly — within about one device step — once
-// it is canceled), must be deterministic given cfg.Seed, and must treat
+// schemeRun trains on the cluster under the shared run configuration.
+// It honors ctx (returning ctx.Err() within about one device step of
+// cancellation), is deterministic given cfg.Seed, and treats
 // cfg.Parallelism and cfg.OnRound as pure throughput/observability
 // knobs that never change the result, since Canonical/Fingerprint
 // exclude them when content-addressing results.
-type Scheme interface {
-	// Name is the registry key, e.g. "hadfl".
-	Name() string
-	// Run trains on the cluster under the shared run configuration.
-	Run(ctx context.Context, c *core.Cluster, cfg core.RunConfig) (*core.Result, error)
-}
+type schemeRun func(ctx context.Context, c *core.Cluster, cfg core.RunConfig) (*core.Result, error)
 
-// NewScheme adapts a function to the Scheme interface.
-func NewScheme(name string, run func(ctx context.Context, c *core.Cluster, cfg core.RunConfig) (*core.Result, error)) Scheme {
-	return schemeFunc{name: name, run: run}
-}
-
-type schemeFunc struct {
+// schemes is the scheme table in the canonical paper order Schemes
+// reports. Each entry overlays the façade's shared RunConfig onto its
+// Default*Config via core.RunConfig.Apply, so unset fields keep the
+// paper-profile defaults.
+var schemes = []struct {
 	name string
-	run  func(ctx context.Context, c *core.Cluster, cfg core.RunConfig) (*core.Result, error)
+	run  schemeRun
+}{
+	{SchemeHADFL, func(ctx context.Context, c *core.Cluster, rc core.RunConfig) (*core.Result, error) {
+		cfg := core.DefaultConfig()
+		cfg.Apply(rc)
+		return core.RunHADFL(ctx, c, cfg)
+	}},
+	{SchemeFedAvg, func(ctx context.Context, c *core.Cluster, rc core.RunConfig) (*core.Result, error) {
+		cfg := baselines.DefaultFedAvgConfig()
+		cfg.Apply(rc)
+		return baselines.RunFedAvg(ctx, c, cfg)
+	}},
+	{SchemeDistributed, func(ctx context.Context, c *core.Cluster, rc core.RunConfig) (*core.Result, error) {
+		cfg := baselines.DefaultDistributedConfig()
+		cfg.Apply(rc)
+		return baselines.RunDistributed(ctx, c, cfg)
+	}},
+	{SchemeAsyncFL, func(ctx context.Context, c *core.Cluster, rc core.RunConfig) (*core.Result, error) {
+		cfg := baselines.DefaultAsyncFLConfig()
+		cfg.Apply(rc)
+		return baselines.RunAsyncFL(ctx, c, cfg)
+	}},
+	{SchemeHADFLGrouped, func(ctx context.Context, c *core.Cluster, rc core.RunConfig) (*core.Result, error) {
+		cfg := core.DefaultGroupedConfig()
+		cfg.Base.Apply(rc)
+		return core.RunHADFLGrouped(ctx, c, cfg)
+	}},
 }
 
-func (s schemeFunc) Name() string { return s.name }
-func (s schemeFunc) Run(ctx context.Context, c *core.Cluster, cfg core.RunConfig) (*core.Result, error) {
-	return s.run(ctx, c, cfg)
-}
-
-// registry is the process-level scheme table. Registration order is
-// preserved so Schemes() is stable: built-ins first (in the canonical
-// paper order), then custom schemes as they registered.
-var registry = struct {
-	sync.RWMutex
-	byName map[string]Scheme
-	order  []string
-}{byName: make(map[string]Scheme)}
-
-// RegisterScheme adds a scheme to the process-level registry, making it
-// runnable through RunContext/RunScheme, listable through Schemes, and
-// content-addressable through Fingerprint. It fails on an empty name or
-// a duplicate registration (schemes are identities, not overridable
-// handlers). Call it from an init function or before runs start.
-func RegisterScheme(s Scheme) error {
-	name := s.Name()
-	if name == "" {
-		return fmt.Errorf("hadfl: RegisterScheme with empty name")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.byName[name]; dup {
-		return fmt.Errorf("hadfl: scheme %q already registered", name)
-	}
-	registry.byName[name] = s
-	registry.order = append(registry.order, name)
-	return nil
-}
-
-// MustRegisterScheme is RegisterScheme, panicking on error; intended
-// for init-time registration of a package's schemes.
-func MustRegisterScheme(s Scheme) {
-	if err := RegisterScheme(s); err != nil {
-		panic(err)
-	}
-}
-
-// unregisterScheme removes a scheme (tests only — production schemes
-// are registered for the life of the process).
-func unregisterScheme(name string) {
-	registry.Lock()
-	defer registry.Unlock()
-	delete(registry.byName, name)
-	for i, n := range registry.order {
-		if n == name {
-			registry.order = append(registry.order[:i], registry.order[i+1:]...)
-			break
+// lookupScheme resolves a scheme by name.
+func lookupScheme(name string) (schemeRun, bool) {
+	for _, s := range schemes {
+		if s.name == name {
+			return s.run, true
 		}
 	}
+	return nil, false
 }
 
-// lookupScheme resolves a registered scheme by name.
-func lookupScheme(name string) (Scheme, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	s, ok := registry.byName[name]
-	return s, ok
-}
-
-// Schemes returns the registered scheme names in registration order:
-// the built-ins (hadfl, decentralized-fedavg, distributed, asyncfl,
-// hadfl-grouped) followed by any custom registrations.
+// Schemes returns the scheme names in canonical order: hadfl,
+// decentralized-fedavg, distributed, asyncfl, hadfl-grouped.
 func Schemes() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	return append([]string(nil), registry.order...)
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.name
+	}
+	return names
 }
 
-// ValidScheme reports whether name is a registered scheme.
+// ValidScheme reports whether name is one of the schemes.
 func ValidScheme(name string) bool {
 	_, ok := lookupScheme(name)
 	return ok
@@ -137,46 +101,4 @@ func unknownSchemeError(name string) error {
 	known := Schemes()
 	sort.Strings(known)
 	return fmt.Errorf("hadfl: unknown scheme %q (registered: %v)", name, known)
-}
-
-// --- Built-in schemes. Each overlays the façade's shared RunConfig
-// onto its Default*Config via core.RunConfig.Apply, so unset fields
-// keep the paper-profile defaults.
-
-func init() {
-	MustRegisterScheme(NewScheme(SchemeHADFL, runSchemeHADFL))
-	MustRegisterScheme(NewScheme(SchemeFedAvg, runSchemeFedAvg))
-	MustRegisterScheme(NewScheme(SchemeDistributed, runSchemeDistributed))
-	MustRegisterScheme(NewScheme(SchemeAsyncFL, runSchemeAsyncFL))
-	MustRegisterScheme(NewScheme(SchemeHADFLGrouped, runSchemeHADFLGrouped))
-}
-
-func runSchemeHADFL(ctx context.Context, c *core.Cluster, rc core.RunConfig) (*core.Result, error) {
-	cfg := core.DefaultConfig()
-	cfg.Apply(rc)
-	return core.RunHADFL(ctx, c, cfg)
-}
-
-func runSchemeFedAvg(ctx context.Context, c *core.Cluster, rc core.RunConfig) (*core.Result, error) {
-	cfg := baselines.DefaultFedAvgConfig()
-	cfg.Apply(rc)
-	return baselines.RunFedAvg(ctx, c, cfg)
-}
-
-func runSchemeDistributed(ctx context.Context, c *core.Cluster, rc core.RunConfig) (*core.Result, error) {
-	cfg := baselines.DefaultDistributedConfig()
-	cfg.Apply(rc)
-	return baselines.RunDistributed(ctx, c, cfg)
-}
-
-func runSchemeAsyncFL(ctx context.Context, c *core.Cluster, rc core.RunConfig) (*core.Result, error) {
-	cfg := baselines.DefaultAsyncFLConfig()
-	cfg.Apply(rc)
-	return baselines.RunAsyncFL(ctx, c, cfg)
-}
-
-func runSchemeHADFLGrouped(ctx context.Context, c *core.Cluster, rc core.RunConfig) (*core.Result, error) {
-	cfg := core.DefaultGroupedConfig()
-	cfg.Base.Apply(rc)
-	return core.RunHADFLGrouped(ctx, c, cfg)
 }

@@ -5,62 +5,10 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"hadfl/internal/core"
-	"hadfl/internal/metrics"
 )
 
-func TestRegisterSchemeRejectsDuplicatesAndEmptyNames(t *testing.T) {
-	if err := RegisterScheme(NewScheme("", nil)); err == nil {
-		t.Fatal("empty scheme name registered")
-	}
-	for _, builtin := range Schemes() {
-		if err := RegisterScheme(NewScheme(builtin, nil)); err == nil {
-			t.Fatalf("duplicate registration of %q accepted", builtin)
-		}
-	}
-}
-
-func TestRegisteredSchemeIsListedAndRunnable(t *testing.T) {
-	const name = "test-constant"
-	// A degenerate scheme: no training, returns the initial model.
-	MustRegisterScheme(NewScheme(name, func(_ context.Context, c *core.Cluster, _ core.RunConfig) (*core.Result, error) {
-		return newConstantResult(c), nil
-	}))
-	defer unregisterScheme(name)
-
-	if !ValidScheme(name) {
-		t.Fatalf("ValidScheme(%q) = false after registration", name)
-	}
-	found := false
-	for _, s := range Schemes() {
-		if s == name {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Schemes() = %v, missing %q", Schemes(), name)
-	}
-	// Fingerprinting and running both dispatch through the registry.
-	if _, err := Fingerprint(name, fastOpts(1)); err != nil {
-		t.Fatalf("Fingerprint for registered scheme: %v", err)
-	}
-	res, err := RunContext(context.Background(), name, fastOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scheme != name || len(res.FinalParams) == 0 {
-		t.Fatalf("degenerate result %+v", res)
-	}
-
-	unregisterScheme(name)
-	if ValidScheme(name) {
-		t.Fatalf("ValidScheme(%q) = true after unregister", name)
-	}
-}
-
 // TestRunContextCancelMidRun is the cancellation acceptance check: for
-// every registered scheme, canceling the context after the first
+// every scheme, canceling the context after the first
 // progress callback stops the run within one device step/round and
 // surfaces ctx.Err().
 func TestRunContextCancelMidRun(t *testing.T) {
@@ -136,19 +84,5 @@ func TestCompareContextPropagatesCancellation(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("CompareContext did not stop after cancellation")
-	}
-}
-
-// newConstantResult fabricates a minimal valid result from the
-// cluster's initial parameters (test-scheme helper).
-func newConstantResult(c *core.Cluster) *core.Result {
-	loss, acc := c.Evaluate(c.InitParams)
-	series := &metrics.Series{Name: "test-constant"}
-	series.Add(metrics.Point{Epoch: 0, Time: 1, Loss: loss, Accuracy: acc})
-	return &core.Result{
-		Series:      series,
-		Comm:        core.NewCommStats(),
-		Rounds:      1,
-		FinalParams: append([]float64(nil), c.InitParams...),
 	}
 }
