@@ -415,3 +415,35 @@ func goldenDiff(t *testing.T, key string, want, got goldenRun) {
 		t.Errorf("%s: FinalParams %s, want %s", key, got.ParamsSHA256, want.ParamsSHA256)
 	}
 }
+
+// TestGoldenConvRuns pins the convolutional profile, which the fixture
+// table above never runs (its cases are the fast MLP profile): a short
+// Full hadfl run per conv model, through warm-up training and the
+// evaluator's scoring of the result. The hashes are literals, not a
+// regenerated fixture — a convolution kernel that moves one addition
+// fails here, and no flag rewrites them.
+func TestGoldenConvRuns(t *testing.T) {
+	for _, tc := range []struct {
+		model, params, points string
+	}{
+		{"resnet", "1a12ff7f81bef816a8f2b5443dc69d0243a60da093b05170ea32d231ca8ee2b3",
+			"c170c2634ae130e665ea1895f4adaeaabcc5fcebf5598bb0e558a6ba3e69c340"},
+		{"vgg", "a243b050cb783180deb974cb3bc822e32aa2ad48688b2338524c0534e5611d79",
+			"7c06f4880ee3c537f8c6ad825cb0c7a2c7d376a37dd7e9e9c5c365bbf57d4322"},
+	} {
+		res, err := RunContext(context.Background(), "hadfl", Options{Model: tc.model, Full: true, TargetEpochs: 0.25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := goldenParamsHash(res.FinalParams); got != tc.params {
+			t.Errorf("%s: FinalParams %s, want %s", tc.model, got, tc.params)
+		}
+		var h goldenHash
+		for _, p := range goldenPoints(res.Series) {
+			h.buf = append(h.buf, p...)
+		}
+		if got := h.sum(); got != tc.points {
+			t.Errorf("%s: %d curve points hash to %s, want %s", tc.model, len(res.Series.Points), got, tc.points)
+		}
+	}
+}

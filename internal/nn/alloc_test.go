@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -64,28 +65,14 @@ func TestTrainStepZeroAllocVGGTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("convolutional zero-alloc check skipped in -short mode")
 	}
-	rng := rand.New(rand.NewSource(2))
-	m := NewVGGTiny(rng, 3, 8, 10)
-	x := tensor.RandNormal(rng, 0, 1, 16, 3, 8, 8)
-	labels := make([]int, 16)
-	for i := range labels {
-		labels[i] = i % 10
-	}
-	testZeroAllocStep(t, m, x, labels)
+	forConvBatches(t, 2, NewVGGTiny, testZeroAllocStep)
 }
 
 func TestTrainStepZeroAllocResNetTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("convolutional zero-alloc check skipped in -short mode")
 	}
-	rng := rand.New(rand.NewSource(3))
-	m := NewResNetTiny(rng, 3, 8, 10)
-	x := tensor.RandNormal(rng, 0, 1, 16, 3, 8, 8)
-	labels := make([]int, 16)
-	for i := range labels {
-		labels[i] = i % 10
-	}
-	testZeroAllocStep(t, m, x, labels)
+	forConvBatches(t, 3, NewResNetTiny, testZeroAllocStep)
 }
 
 func TestEvalStepZeroAllocResMLP(t *testing.T) {
@@ -103,12 +90,22 @@ func TestEvalStepZeroAllocResNetTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("convolutional zero-alloc check skipped in -short mode")
 	}
-	rng := rand.New(rand.NewSource(5))
-	m := NewResNetTiny(rng, 3, 8, 10)
-	x := tensor.RandNormal(rng, 0, 1, 16, 3, 8, 8)
-	labels := make([]int, 16)
-	for i := range labels {
-		labels[i] = i % 10
+	forConvBatches(t, 5, NewResNetTiny, testZeroAllocEval)
+}
+
+// forConvBatches runs a zero-alloc check on a fresh 8×8 conv model at
+// batch 16 and at batch 5, where Conv2D's last tile of images is
+// partial.
+func forConvBatches(t *testing.T, seed int64, arch func(rng *rand.Rand, inCh, size, classes int) *Model,
+	check func(*testing.T, *Model, *tensor.Tensor, []int)) {
+	for _, n := range []int{16, 5} {
+		t.Run(fmt.Sprintf("batch%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			labels := make([]int, n)
+			for i := range labels {
+				labels[i] = i % 10
+			}
+			check(t, arch(rng, 3, 8, 10), tensor.RandNormal(rng, 0, 1, n, 3, 8, 8), labels)
+		})
 	}
-	testZeroAllocEval(t, m, x, labels)
 }
