@@ -7,22 +7,41 @@ import (
 	"hadfl/internal/tensor"
 )
 
+// convTileRows is the im2col row budget of one Conv2D tile: Forward and
+// Backward walk the batch in tiles of whole images, as many as fit in
+// this many rows (at least one) — 4 images at 8×8 outputs, 16 at 4×4.
+const convTileRows = 256
+
 // Conv2D is a 2-D convolution layer over [N, C, H, W] inputs with square
-// kernels, implemented via im2col + matmul. The im2col matrix, the
-// product buffer and both gradient matrices are recycled through a
-// per-layer arena, so steady-state steps allocate nothing.
+// kernels, implemented via im2col + matmul over tiles of whole images.
+//
+// Only training keeps a batch-sized matrix: each tile's im2col rows land
+// in cols, which Backward needs for dW. An inference pass im2cols each
+// tile into a tile-sized buffer, and Backward forms the gradient rows,
+// g·W and the col2im of one tile at a time, so the product and gradient
+// scratch is one tile whatever the batch. The tile buffers are sized by
+// the layer's geometry, not the batch, so steady-state steps allocate
+// nothing even as training and scoring batches alternate.
+//
+// Tiling moves no bit. Forward rows are independent dot products; dW
+// and dB take their terms in ascending row order across tiles, as the
+// whole-batch products do (axpy4 groups left to right, so where a group
+// ends is irrelevant, and zero gradients are skipped the same way); and
+// a tile's col2im touches only that tile's images.
 type Conv2D struct {
 	W, B        *tensor.Tensor // W: [OC, C, K, K], B: [OC]
 	dW, dB      *tensor.Tensor
 	Stride, Pad int
 
-	arena   tensor.Arena
-	cols    *tensor.Tensor // cached im2col matrix (Forward → Backward)
-	inShape []int
+	tileRows int            // im2col rows per tile; 0 means convTileRows
+	cols     *tensor.Tensor // im2col of the training input, [N·OH·OW, C·K·K]
+	inShape  []int          // training input shape; empty once Backward used it
 	// Persistent views/buffers.
 	wmat, dwmat *tensor.Tensor // matrix views of W / dW
-	prod, out   *tensor.Tensor
-	dx          *tensor.Tensor
+	mat         *tensor.Tensor // one tile's product or gradient, [rows, OC]
+	tile        *tensor.Tensor // one tile's inference im2col or g·W, [rows, C·K·K]
+	out, dx     *tensor.Tensor
+	view        struct{ in, out, cols, mat, tile *tensor.Tensor } // re-pointed per tile
 }
 
 // NewConv2D constructs a Conv2D with He-normal initialization.
@@ -38,6 +57,21 @@ func NewConv2D(rng *rand.Rand, inCh, outCh, kernel, stride, pad int) *Conv2D {
 	}
 }
 
+// tiles sizes the tile buffers for an output plane of the given size
+// and returns the images per tile.
+func (c *Conv2D) tiles(plane int) int {
+	budget := c.tileRows
+	if budget == 0 {
+		budget = convTileRows
+	}
+	step := max(1, budget/plane)
+	oc := c.W.Dim(0)
+	c.wmat = tensor.AsShape(c.wmat, c.W, oc, c.W.Len()/oc) // [OC, C·K·K]
+	c.mat = tensor.Ensure(c.mat, step*plane, oc)
+	c.tile = tensor.Ensure(c.tile, step*plane, c.W.Len()/oc)
+	return step
+}
+
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 || x.Dim(1) != c.W.Dim(1) {
@@ -48,51 +82,59 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oc := c.W.Dim(0)
 	oh := tensor.Conv2DShape(h, k, c.Stride, c.Pad)
 	ow := tensor.Conv2DShape(w, k, c.Stride, c.Pad)
-
-	if c.cols != nil {
-		// Previous step's matrix (already consumed by Backward, or
-		// never needed): recycle it.
-		c.arena.Put(c.cols)
-	}
-	c.cols = c.arena.Get(n*oh*ow, c.W.Len()/oc) // [N·OH·OW, C·K·K]
-	tensor.Im2ColInto(c.cols, x, k, k, c.Stride, c.Pad)
-	c.wmat = tensor.AsShape(c.wmat, c.W, oc, c.W.Len()/oc) // [OC, C·K·K]
-	c.prod = tensor.Ensure(c.prod, n*oh*ow, oc)            // [N·OH·OW, OC]
-	tensor.MatMulTransBBiasInto(c.prod, c.cols, c.wmat, c.B)
-
+	plane := oh * ow
+	step := c.tiles(plane)
 	if train {
 		c.inShape = append(c.inShape[:0], x.Shape()...)
+		c.cols = tensor.Ensure(c.cols, n*plane, c.W.Len()/oc)
 	}
 	c.out = tensor.Ensure(c.out, n, oc, oh, ow)
-	channelsLastToFirstInto(c.out, c.prod, n, oc, oh, ow)
+	v := &c.view
+	for lo := 0; lo < n; lo += step {
+		hi := min(lo+step, n)
+		if train {
+			v.cols = tensor.SliceRows(v.cols, c.cols, lo*plane, hi*plane)
+		} else {
+			v.cols = tensor.SliceRows(v.cols, c.tile, 0, (hi-lo)*plane)
+		}
+		v.in = tensor.SliceRows(v.in, x, lo, hi)
+		tensor.Im2ColInto(v.cols, v.in, k, k, c.Stride, c.Pad)
+		v.mat = tensor.SliceRows(v.mat, c.mat, 0, (hi-lo)*plane)
+		tensor.MatMulTransBBiasInto(v.mat, v.cols, c.wmat, c.B)
+		v.out = tensor.SliceRows(v.out, c.out, lo, hi)
+		channelsLastToFirstInto(v.out, v.mat, hi-lo, oc, oh, ow)
+	}
 	return c.out
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.cols == nil {
+	if len(c.inShape) == 0 {
 		panic("nn: Conv2D.Backward before Forward(train=true)")
 	}
 	n, oc, oh, ow := grad.Dim(0), grad.Dim(1), grad.Dim(2), grad.Dim(3)
-	g := c.arena.Get(n*oh*ow, oc)
-	channelsFirstToLastInto(g, grad) // [N·OH·OW, OC]
-
-	// dW += gᵀ·cols viewed as a matrix; dB += column sums of g.
-	c.dwmat = tensor.AsShape(c.dwmat, c.dW, oc, c.dW.Len()/oc)
-	tensor.MatMulTransAAccInto(c.dwmat, g, c.cols)
-	tensor.SumRowsAccInto(c.dB, g)
-
-	// dx = Col2Im(g·Wmat).
-	dcols := c.arena.Get(n*oh*ow, c.W.Len()/oc)
-	tensor.MatMulInto(dcols, g, c.wmat)
-	c.arena.Put(g)
+	plane := oh * ow
+	step := c.tiles(plane)
 	k := c.W.Dim(2)
-	in := c.inShape
-	c.dx = tensor.Ensure(c.dx, in...)
-	tensor.Col2ImInto(c.dx, dcols, k, k, c.Stride, c.Pad)
-	c.arena.Put(dcols)
-	c.arena.Put(c.cols)
-	c.cols = nil
+	c.dwmat = tensor.AsShape(c.dwmat, c.dW, oc, c.dW.Len()/oc)
+	c.dx = tensor.Ensure(c.dx, c.inShape...)
+	v := &c.view
+	for lo := 0; lo < n; lo += step {
+		hi := min(lo+step, n)
+		// g = this tile's gradient as [rows, OC]; dW += gᵀ·cols;
+		// dB += column sums of g; dx = Col2Im(g·Wmat).
+		v.in = tensor.SliceRows(v.in, grad, lo, hi)
+		v.mat = tensor.SliceRows(v.mat, c.mat, 0, (hi-lo)*plane)
+		channelsFirstToLastInto(v.mat, v.in)
+		v.cols = tensor.SliceRows(v.cols, c.cols, lo*plane, hi*plane)
+		tensor.MatMulTransAAccInto(c.dwmat, v.mat, v.cols)
+		tensor.SumRowsAccInto(c.dB, v.mat)
+		v.tile = tensor.SliceRows(v.tile, c.tile, 0, (hi-lo)*plane)
+		tensor.MatMulInto(v.tile, v.mat, c.wmat)
+		v.out = tensor.SliceRows(v.out, c.dx, lo, hi)
+		tensor.Col2ImInto(v.out, v.tile, k, k, c.Stride, c.Pad)
+	}
+	c.inShape = c.inShape[:0]
 	return c.dx
 }
 

@@ -9,17 +9,18 @@
 // therefore stateful and not safe for concurrent use; each simulated
 // device owns its own model replica.
 //
-// Every layer keeps persistent activation and gradient buffers (resized
-// lazily via tensor.Ensure, or recycled through a tensor.Arena) and
-// routes its linear algebra through the in-place kernels of
-// internal/tensor, so a steady-state training step — forward, loss,
-// backward, optimizer update at a fixed batch shape — performs zero
-// heap allocations after the first step warms the buffers up (see
-// alloc_test.go for the enforced guarantee). Two aliasing rules keep
-// the buffer reuse sound: a layer may read its cached input during
-// Backward (upstream buffers are only rewritten by the *next* Forward),
-// and Backward must never mutate the incoming gradient in place — it
-// writes to the layer's own output-gradient buffer.
+// Every layer keeps persistent activation and gradient buffers, resized
+// lazily via tensor.Ensure (Conv2D's matrix scratch holds one tile of
+// images, not the batch), and routes its linear algebra through the
+// in-place kernels of internal/tensor, so a steady-state training step
+// — forward, loss, backward, optimizer update at a fixed batch shape —
+// performs zero heap allocations after the first step warms the
+// buffers up (see alloc_test.go for the enforced guarantee). Two
+// aliasing rules keep the buffer reuse sound: a layer may read its
+// cached input during Backward (upstream buffers are only rewritten by
+// the *next* Forward), and Backward must never mutate the incoming
+// gradient in place — it writes to the layer's own output-gradient
+// buffer.
 package nn
 
 import (

@@ -1,57 +1,5 @@
 package tensor
 
-// Arena is a scratch-buffer recycler for hot loops that need
-// temporaries whose lifetime spans at most one forward/backward pass.
-// Get pops a tensor with the requested element count from a
-// size-bucketed free list (reshaping it in place) or allocates one on
-// first use; Put returns it. In steady state a Get/Put cycle performs
-// zero heap allocations — both the backing arrays and the Tensor
-// headers are reused.
-//
-// An Arena is not safe for concurrent use; give each goroutine (each
-// simulated device owns its model and therefore its layers' arenas)
-// its own.
-type Arena struct {
-	free map[int][]*Tensor
-}
-
-// Get returns a tensor of the given shape with undefined contents.
-// Call Zero (or GetZeroed) when the kernel needs a cleared buffer.
-func (a *Arena) Get(shape ...int) *Tensor {
-	n := checkShape(shape)
-	if a.free == nil {
-		a.free = make(map[int][]*Tensor)
-	}
-	bucket := a.free[n]
-	if len(bucket) == 0 {
-		return New(shape...)
-	}
-	t := bucket[len(bucket)-1]
-	a.free[n] = bucket[:len(bucket)-1]
-	t.shape = append(t.shape[:0], shape...)
-	return t
-}
-
-// GetZeroed returns a zero-filled tensor of the given shape.
-func (a *Arena) GetZeroed(shape ...int) *Tensor {
-	t := a.Get(shape...)
-	t.Zero()
-	return t
-}
-
-// Put returns t to the arena for reuse. The caller must not touch t
-// afterwards.
-func (a *Arena) Put(t *Tensor) {
-	if t == nil {
-		return
-	}
-	if a.free == nil {
-		a.free = make(map[int][]*Tensor)
-	}
-	n := len(t.data)
-	a.free[n] = append(a.free[n], t)
-}
-
 // Ensure returns t when it already holds exactly the given shape, the
 // usual steady-state case for per-layer activation and gradient
 // buffers; otherwise it returns a fresh tensor. Contents are undefined

@@ -109,26 +109,6 @@ func TestMatMulAccVariants(t *testing.T) {
 	}
 }
 
-func TestArenaReusesBuffers(t *testing.T) {
-	var a Arena
-	t1 := a.Get(4, 8)
-	p1 := &t1.Data()[0]
-	a.Put(t1)
-	t2 := a.Get(8, 4) // same element count, different shape
-	if &t2.Data()[0] != p1 {
-		t.Fatal("Arena.Get did not reuse the freed buffer")
-	}
-	if t2.Dim(0) != 8 || t2.Dim(1) != 4 {
-		t.Fatalf("Arena.Get shape %v, want [8 4]", t2.Shape())
-	}
-	z := a.GetZeroed(2)
-	for _, v := range z.Data() {
-		if v != 0 {
-			t.Fatal("GetZeroed returned dirty buffer")
-		}
-	}
-}
-
 func TestEnsure(t *testing.T) {
 	b := Ensure(nil, 3, 4)
 	if b.Dim(0) != 3 || b.Dim(1) != 4 {
