@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"hadfl/internal/core"
 )
@@ -144,11 +145,12 @@ func TestAsyncFLCancelJoinsWorkers(t *testing.T) {
 		if res != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("Parallelism %d: RunAsyncFL = %v, %v; want context.Canceled", par, res, err)
 		}
-		// A joined worker has called Done but may not have left the
-		// scheduler yet; yield until it has.
+		// A joined worker has called Done but may not have exited yet
+		// (the race detector slows that tail down); poll until it has,
+		// up to a deadline.
 		after := runtime.NumGoroutine()
-		for i := 0; after > before && i < 1000; i++ {
-			runtime.Gosched()
+		for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
 			after = runtime.NumGoroutine()
 		}
 		if after > before {
