@@ -92,14 +92,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	v := &c.view
 	for lo := 0; lo < n; lo += step {
 		hi := min(lo+step, n)
+		rows := (hi - lo) * plane
 		if train {
 			v.cols = tensor.SliceRows(v.cols, c.cols, lo*plane, hi*plane)
 		} else {
-			v.cols = tensor.SliceRows(v.cols, c.tile, 0, (hi-lo)*plane)
+			v.cols = tensor.SliceRows(v.cols, c.tile, 0, rows)
 		}
 		v.in = tensor.SliceRows(v.in, x, lo, hi)
 		tensor.Im2ColInto(v.cols, v.in, k, k, c.Stride, c.Pad)
-		v.mat = tensor.SliceRows(v.mat, c.mat, 0, (hi-lo)*plane)
+		v.mat = tensor.SliceRows(v.mat, c.mat, 0, rows)
 		tensor.MatMulTransBBiasInto(v.mat, v.cols, c.wmat, c.B)
 		v.out = tensor.SliceRows(v.out, c.out, lo, hi)
 		channelsLastToFirstInto(v.out, v.mat, hi-lo, oc, oh, ow)
@@ -121,15 +122,16 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	v := &c.view
 	for lo := 0; lo < n; lo += step {
 		hi := min(lo+step, n)
+		rows := (hi - lo) * plane
 		// g = this tile's gradient as [rows, OC]; dW += gᵀ·cols;
 		// dB += column sums of g; dx = Col2Im(g·Wmat).
 		v.in = tensor.SliceRows(v.in, grad, lo, hi)
-		v.mat = tensor.SliceRows(v.mat, c.mat, 0, (hi-lo)*plane)
+		v.mat = tensor.SliceRows(v.mat, c.mat, 0, rows)
 		channelsFirstToLastInto(v.mat, v.in)
 		v.cols = tensor.SliceRows(v.cols, c.cols, lo*plane, hi*plane)
 		tensor.MatMulTransAAccInto(c.dwmat, v.mat, v.cols)
 		tensor.SumRowsAccInto(c.dB, v.mat)
-		v.tile = tensor.SliceRows(v.tile, c.tile, 0, (hi-lo)*plane)
+		v.tile = tensor.SliceRows(v.tile, c.tile, 0, rows)
 		tensor.MatMulInto(v.tile, v.mat, c.wmat)
 		v.out = tensor.SliceRows(v.out, c.dx, lo, hi)
 		tensor.Col2ImInto(v.out, v.tile, k, k, c.Stride, c.Pad)
